@@ -8,21 +8,21 @@ phases with hotspots in *opposite corners* of the die:
 
 * ``static-A`` / ``static-B`` — overlays tuned offline for one phase each
   (the paper's methodology); each wins its own phase and loses the other;
-* ``online`` — the :class:`OnlineReconfigurator` re-selects shortcuts every
-  1500 cycles from live event counters, paying the full drain + tuning +
-  99-cycle table-update cost per reconfiguration, and needs no profile.
+* ``online`` — a :class:`~repro.control.ControlLoop` re-decides shortcuts
+  every 1500-cycle epoch from live event counters, paying the full drain +
+  tuning + 99-cycle table-update cost per applied decision, and needs no
+  profile.  Every epoch's decision lands in its journal.
 
 Run:  python examples/online_reconfiguration.py
 """
 
 from repro import ExperimentRunner, FAST_CONFIG, Simulator
-from repro.core import (
-    OnlineReconfigurator, PhasedSource, RFIOverlay, adaptive_rf, baseline,
-)
+from repro.control import ControlConfig, ControlLoop
+from repro.core import RFIOverlay, adaptive_rf, baseline
 from repro.core.reconfig import ReconfigurationController
 from repro.noc import Network, RoutingPolicy
 from repro.params import SimulationParams
-from repro.traffic import ProbabilisticTraffic
+from repro.traffic import PhasedSource, ProbabilisticTraffic
 from repro.traffic.patterns import hotspot_at
 
 PHASE_CYCLES = 4_000
@@ -78,8 +78,10 @@ def main() -> None:
     controller = ReconfigurationController(topo, overlay)
     first = controller.reconfigure(prof_a)
     online_net = Network(topo, runner.params, first.tables, RoutingPolicy())
-    online = OnlineReconfigurator(
-        make_workload(runner), controller, interval_cycles=1_500, decay=0.25
+    online = ControlLoop(
+        make_workload(runner), controller,
+        ControlConfig(epoch_cycles=1_500, decay=0.25),
+        initial=tuple((s.src, s.dst) for s in first.shortcuts),
     )
     rows["online"] = run(online_net, online)
 
@@ -91,15 +93,16 @@ def main() -> None:
     for name, (overall, a, b) in rows.items():
         print(f"{name:<12} {overall:>8.1f} {a:>8.1f} {b:>8.1f}")
 
+    overhead = online.journal.overhead_cycles()
     print()
     print(
-        f"online: {online.reconfigurations} reconfigurations, "
-        f"{online.total_overhead_cycles()} cycles of drain+tuning+table-update "
-        "overhead in total"
+        f"online: {online.applied} of {len(online.journal)} epochs applied, "
+        f"{overhead} cycles ({overhead / SIM.measure_cycles:.1%} of the "
+        "measured window) of drain+tuning+table-update overhead in total"
     )
     print(
         "Each static profile wins only its own phase; the online overlay "
-        "tracks both phases with no offline profile at ~2% cycle overhead."
+        "needs no offline profile: it adapts from live event counters."
     )
 
 

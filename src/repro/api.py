@@ -99,10 +99,10 @@ def simulate(
     :class:`~repro.faults.FaultSchedule`): the design degrades gracefully
     around structural faults and dodges transient ones at runtime — see
     ``docs/faults.md``.
-    ``kernel`` selects the cycle-execution kernel (``"fast"`` /
-    ``"reference"``); the two are bit-identical (see
-    :mod:`repro.noc.kernel`), so this never changes results, caching, or
-    provenance — only wall-clock time.
+    ``kernel`` selects the cycle-execution kernel (``"batch"``, the
+    default, or the ``"reference"`` oracle); the two are bit-identical
+    (see :mod:`repro.noc.kernel`), so this never changes results,
+    caching, or provenance — only wall-clock time.
     ``topology`` selects the substrate provider (a registered name; see
     :mod:`repro.noc.topology`); ``None`` and ``"mesh"`` keep the default
     mesh and its historical result addresses, any other provider
@@ -196,12 +196,13 @@ def sweep(
     cell to simulate fresh, bypassing ``store``).  ``faults`` applies one
     fault schedule (spec string or :class:`~repro.faults.FaultSchedule`)
     to every cell in the grid.  ``kernel`` selects the cycle-execution
-    kernel for every cell; results and store addresses are identical
+    kernel for every cell (``"batch"``, the default, or the
+    ``"reference"`` oracle); results and store addresses are identical
     either way (the kernel never enters a job digest).  ``topology``
     runs every cell on the named substrate provider (non-mesh providers
     fork the result addresses — see :func:`~repro.exec.jobs.sweep_grid`).
     ``batch`` runs every cache miss in one process, advanced in
-    lock-step cycle slices (digest-identical to the serial path;
+    lock-step cycle slices (digest-identical to one-at-a-time runs;
     ``jobs`` is then ignored).  ``online`` makes every cell a
     closed-loop control-plane run (``True`` for defaults or a
     :class:`~repro.control.loop.ControlConfig` spec string); styles are

@@ -26,12 +26,12 @@ from typing import Optional
 from repro.control.journal import DecisionJournal
 from repro.control.loop import ControlConfig, ControlLoop
 from repro.core.architectures import DesignPoint, baseline
-from repro.core.online import PhasedSource
 from repro.core.overlay import RFIOverlay
 from repro.core.reconfig import ReconfigurationController
 from repro.experiments.runner import ExperimentRunner, PreparedRun, RunResult
 from repro.noc.routing import RoutingTables
 from repro.noc.simulator import Simulator
+from repro.traffic import PhasedSource
 
 #: Workload prefix marking a phase-changing composite.
 PHASED_PREFIX = "phased:"
@@ -213,19 +213,6 @@ def prepare_control(
     return prep
 
 
-def execute_control(
-    runner: ExperimentRunner,
-    spec,
-    observation=None,
-    stage_profile=None,
-) -> RunResult:
-    """Run one online cell (the ``execute_spec`` hook for control cells)."""
-    prep = prepare_control(runner, spec, observation, stage_profile)
-    if prep.result is not None:
-        return prep.result
-    return prep.finish(prep.simulator.run())
-
-
 def control_summary(journal: DecisionJournal) -> dict:
     """JSON-safe journal roll-up (counts, digest, charged overhead)."""
     counts = journal.counts()
@@ -322,12 +309,8 @@ def run_closed_loop(
 
     spec = normalize_spec(spec, runner.config)
     prep = prepare_control(runner, spec)
-    if prep.result is not None:
-        result = prep.result
-    else:
-        result = prep.finish(prep.simulator.run())
     return ControlRunResult(
-        result=result,
+        result=prep.run(),
         journal=prep.control_journal,
         control=ControlConfig.from_spec(dict(spec.extra)["control"]),
         digest=runner._digest_for(spec),

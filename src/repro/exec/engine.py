@@ -104,52 +104,7 @@ class SweepReport:
         }
 
 
-# -- job execution (shared by the serial path and pool workers) --------------
-
-def execute_spec(
-    runner: "ExperimentRunner",
-    spec: JobSpec,
-    observation=None,
-    stage_profile=None,
-) -> "RunResult":
-    """Run one spec on a runner (the runner consults its own store, if any).
-
-    An ``observation`` attaches metrics/tracing and forces a fresh,
-    uncached run (see :meth:`ExperimentRunner.run_unicast`).  A
-    ``stage_profile`` (:class:`~repro.obs.profile.StageProfile`) makes the
-    kernel account wall time per pipeline stage; it only accumulates when
-    the spec actually simulates (memo/store hits leave it untouched).
-    """
-    if spec.kind == "unicast":
-        if dict(spec.extra).get("control") is not None:
-            from repro.control.run import execute_control
-
-            return execute_control(runner, spec, observation, stage_profile)
-        design = runner.design(
-            spec.style, spec.link_bytes,
-            workload=spec.design_workload,
-            num_access_points=spec.num_access_points,
-            adaptive_routing=spec.adaptive_routing,
-            topology=dict(spec.extra).get("topology"),
-        )
-        return runner.run_unicast(design, spec.workload, seed=spec.seed,
-                                  observation=observation,
-                                  faults=dict(spec.extra).get("faults"),
-                                  stage_profile=stage_profile)
-    if spec.kind == "multicast":
-        design = runner.design(
-            spec.style, spec.link_bytes,
-            workload=spec.design_workload,
-            num_access_points=spec.num_access_points,
-            adaptive_routing=spec.adaptive_routing,
-            topology=dict(spec.extra).get("topology"),
-        )
-        return runner.run_multicast(
-            design, spec.realization, spec.locality_percent,
-            observation=observation, stage_profile=stage_profile,
-        )
-    raise ValueError(f"cannot execute job kind {spec.kind!r}")
-
+# -- job execution (shared by the in-process executor and pool workers) ------
 
 def prepare_spec(
     runner: "ExperimentRunner",
@@ -157,43 +112,52 @@ def prepare_spec(
     observation=None,
     stage_profile=None,
 ):
-    """Build one spec's cell without running it (the batch executor).
+    """Build one spec's cell without running it.
 
     Returns the runner's :class:`~repro.experiments.runner.PreparedRun`:
     memo/store hits come back with an immediate ``result``; misses carry
-    the ready :class:`~repro.noc.simulator.Simulator`, which the lock-step
-    loop advances alongside every other miss in the batch.
+    the ready :class:`~repro.noc.simulator.Simulator`, which the
+    in-process executor advances in slices (see :func:`_sweep_batch`).
+    An ``observation`` attaches metrics/tracing and forces a fresh,
+    uncached run (see :meth:`ExperimentRunner.run_unicast`).  A
+    ``stage_profile`` (:class:`~repro.obs.profile.StageProfile`) makes the
+    kernel account wall time per pipeline stage; it only accumulates when
+    the spec actually simulates (memo/store hits leave it untouched).
     """
-    if spec.kind == "unicast":
-        if dict(spec.extra).get("control") is not None:
-            from repro.control.run import prepare_control
+    extra = dict(spec.extra)
+    if spec.kind == "unicast" and extra.get("control") is not None:
+        from repro.control.run import prepare_control
 
-            return prepare_control(runner, spec, observation, stage_profile)
-        design = runner.design(
-            spec.style, spec.link_bytes,
-            workload=spec.design_workload,
-            num_access_points=spec.num_access_points,
-            adaptive_routing=spec.adaptive_routing,
-            topology=dict(spec.extra).get("topology"),
-        )
+        return prepare_control(runner, spec, observation, stage_profile)
+    if spec.kind not in ("unicast", "multicast"):
+        raise ValueError(f"cannot execute job kind {spec.kind!r}")
+    design = runner.design(
+        spec.style, spec.link_bytes,
+        workload=spec.design_workload,
+        num_access_points=spec.num_access_points,
+        adaptive_routing=spec.adaptive_routing,
+        topology=extra.get("topology"),
+    )
+    if spec.kind == "unicast":
         return runner.prepare_unicast(
             design, spec.workload, seed=spec.seed, observation=observation,
-            faults=dict(spec.extra).get("faults"),
-            stage_profile=stage_profile,
+            faults=extra.get("faults"), stage_profile=stage_profile,
         )
-    if spec.kind == "multicast":
-        design = runner.design(
-            spec.style, spec.link_bytes,
-            workload=spec.design_workload,
-            num_access_points=spec.num_access_points,
-            adaptive_routing=spec.adaptive_routing,
-            topology=dict(spec.extra).get("topology"),
-        )
-        return runner.prepare_multicast(
-            design, spec.realization, spec.locality_percent,
-            observation=observation, stage_profile=stage_profile,
-        )
-    raise ValueError(f"cannot batch-execute job kind {spec.kind!r}")
+    return runner.prepare_multicast(
+        design, spec.realization, spec.locality_percent,
+        observation=observation, stage_profile=stage_profile,
+    )
+
+
+def execute_spec(
+    runner: "ExperimentRunner",
+    spec: JobSpec,
+    observation=None,
+    stage_profile=None,
+) -> "RunResult":
+    """Run one spec on a runner: :func:`prepare_spec` driven to completion
+    (the runner consults its own store, if any)."""
+    return prepare_spec(runner, spec, observation, stage_profile).run()
 
 
 _WORKER_RUNNER: Optional["ExperimentRunner"] = None
@@ -326,18 +290,20 @@ def run_sweep(
 
     Results come back in submission order regardless of completion order,
     so ``jobs=8`` and ``jobs=1`` produce identical reports.  ``jobs <= 1``
-    runs in-process (no pool); misses are retried up to ``retries`` extra
-    times before the failure propagates.  ``trace_dir`` runs every job
-    observed and writes one JSONL event trace per job into the directory;
-    traced runs never consult or fill the store (``store`` is ignored).
+    runs in-process (no pool), one cell at a time; misses are retried up
+    to ``retries`` extra times before the failure propagates.
+    ``trace_dir`` runs every job observed and writes one JSONL event
+    trace per job into the directory; traced runs never consult or fill
+    the store (``store`` is ignored).
     ``stage_profile`` times each simulated job's cycle kernel per pipeline
     stage; the totals surface as ``stage_*_s`` keys in job profiles and
     ``report.summary()["profile"]`` (opt-in: the timed cycle path costs
     throughput, so plain sweeps keep the untimed kernel loop).
     ``batch`` runs every miss in *one* process, advanced in lock-step
-    cycle slices instead of cell-after-cell (see :func:`_sweep_batch`);
-    it is an in-process mode, so ``jobs`` is ignored, and the report is
-    digest-identical to the serial path.
+    cycle slices instead of cell-after-cell (see :func:`_sweep_batch`,
+    which also runs the one-at-a-time path); it is an in-process mode, so
+    ``jobs`` is ignored, and the report is digest-identical to the
+    one-at-a-time path.
     """
     specs = [normalize_spec(spec, config) for spec in specs]
     start = time.perf_counter()
@@ -392,15 +358,13 @@ def run_sweep(
         )
         emit("done", i, wall_s=wall)
 
-    if pending and batch:
-        _sweep_batch(specs, pending, finish, emit, config, params, retries,
-                     trace_paths, stage_profile)
-    elif pending and jobs > 1:
+    if pending and jobs > 1 and not batch:
         _sweep_parallel(specs, pending, finish, emit, config, params,
                         jobs, retries, trace_paths, stage_profile)
     elif pending:
-        _sweep_serial(specs, pending, finish, emit, config, params, retries,
-                      trace_paths, stage_profile)
+        _sweep_batch(specs, pending, finish, emit, config, params, retries,
+                     trace_paths, stage_profile,
+                     width=None if batch else 1)
 
     return SweepReport(
         outcomes=list(outcomes),
@@ -411,51 +375,7 @@ def run_sweep(
     )
 
 
-def _sweep_serial(specs, pending, finish, emit, config, params,
-                  retries, trace_paths, stage_profile=False) -> None:
-    from repro.experiments.runner import ExperimentRunner
-    from repro.obs.profile import StageProfile
-
-    runner = ExperimentRunner(config, params)
-    for i in pending:
-        attempts = 0
-        while True:
-            attempts += 1
-            prof = Profiler()
-            observation = _trace_observation(trace_paths[i])
-            sp = StageProfile() if stage_profile else None
-            start = time.perf_counter()
-            try:
-                with prof.phase("simulate"):
-                    # Extend the call only for the features actually on, so
-                    # tests (and any wrapper) can stub execute_spec with the
-                    # historical narrower signatures.
-                    if observation is None and sp is None:
-                        result = execute_spec(runner, specs[i])
-                    elif sp is None:
-                        result = execute_spec(runner, specs[i], observation)
-                    else:
-                        result = execute_spec(runner, specs[i], observation,
-                                              stage_profile=sp)
-            except Exception:
-                if attempts > retries:
-                    raise
-                emit("retry", i, attempts=attempts)
-                continue
-            with prof.phase("encode"):
-                payload = encode_result(result)
-            if observation is not None:
-                with prof.phase("trace_write"):
-                    observation.tracer.write_jsonl(trace_paths[i])
-            wall = time.perf_counter() - start
-            if sp is not None and sp.cycles:
-                prof.merge(sp.as_dict())
-            finish(i, payload, wall, result.stats.activity.cycles,
-                   attempts, prof.as_dict())
-            break
-
-
-#: Cycles each batch-mode cell advances per lock-step turn.  Any value
+#: Cycles each live cell advances per turn of the in-process loop.  Any value
 #: produces identical results (slicing is invisible to the simulation —
 #: see SimulatorDrive); this one keeps per-turn bookkeeping overhead
 #: small while cells still interleave finely enough for early-drain
@@ -465,17 +385,22 @@ BATCH_SLICE_CYCLES = 256
 
 def _sweep_batch(specs, pending, finish, emit, config, params,
                  retries, trace_paths, stage_profile=False,
+                 width: Optional[int] = None,
                  slice_cycles: int = BATCH_SLICE_CYCLES) -> None:
-    """In-process lock-step executor: all misses advance together.
+    """The in-process executor: up to ``width`` live cells in lock-step.
 
-    Every pending cell is *prepared* (network + traffic built, nothing
-    run), then the loop round-robins over the live cells advancing each
-    by ``slice_cycles`` through its :class:`SimulatorDrive`.  A cell that
-    completes (or was a runner-level memo/store hit at prepare time) is
-    finalized immediately; a cell that raises is rebuilt from scratch up
-    to ``retries`` extra times.  Because each cell owns its network,
+    Pending cells are *prepared* (network + traffic built, nothing run)
+    in submission order while fewer than ``width`` are live — ``None``
+    admits every miss at once — and the loop round-robins over the live
+    cells, advancing each by ``slice_cycles`` through its
+    :class:`SimulatorDrive`.  With ``width=1`` one cell is built, driven
+    to done, and finalized before the next is built, so progress events
+    and peak memory stay per cell.  A cell that completes (or was a
+    runner-level memo/store hit at prepare time) is finalized
+    immediately; a cell that raises is rebuilt from scratch up to
+    ``retries`` extra times.  Because each cell owns its network,
     sources, and RNG state, interleaving changes nothing observable —
-    reports are digest-identical to `_sweep_serial`'s.
+    every width yields a digest-identical report.
     """
     from collections import deque
 
@@ -496,23 +421,23 @@ def _sweep_batch(specs, pending, finish, emit, config, params,
         cell.observation = _trace_observation(trace_paths[i])
         cell.sp = StageProfile() if stage_profile else None
         start = time.perf_counter()
-        cell.prep = prepare_spec(runner, specs[i], cell.observation,
-                                 cell.sp)
-        cell.drive = (
-            None if cell.prep.result is not None
-            else cell.prep.simulator.start()
-        )
+        with cell.prof.phase("simulate"):
+            cell.prep = prepare_spec(runner, specs[i], cell.observation,
+                                     cell.sp)
+            cell.drive = (
+                None if cell.prep.result is not None
+                else cell.prep.simulator.start()
+            )
         cell.wall = time.perf_counter() - start
         return cell
 
     def finalize(cell: _Cell) -> None:
         i = cell.index
         start = time.perf_counter()
-        if cell.prep.result is not None:
-            result = cell.prep.result
-        else:
-            result = cell.prep.finish(cell.drive.finish())
         prof = cell.prof
+        with prof.phase("simulate"):
+            result = (cell.prep.result if cell.prep.result is not None
+                      else cell.prep.finish(cell.drive.finish()))
         with prof.phase("encode"):
             payload = encode_result(result)
         if cell.observation is not None:
@@ -524,7 +449,7 @@ def _sweep_batch(specs, pending, finish, emit, config, params,
         finish(i, payload, cell.wall, result.stats.activity.cycles,
                attempts[i], prof.as_dict())
 
-    def rebuild_or_raise(i: int) -> Optional[_Cell]:
+    def rebuild_or_raise(i: int) -> _Cell:
         if attempts[i] > retries:
             raise
         attempts[i] += 1
@@ -534,19 +459,25 @@ def _sweep_batch(specs, pending, finish, emit, config, params,
         except Exception:
             return rebuild_or_raise(i)
 
-    live: deque = deque()
-    for i in pending:
-        attempts[i] += 1
-        try:
-            cell = build(i)
-        except Exception:
-            cell = rebuild_or_raise(i)
+    def admit(cell: _Cell) -> None:
         if cell.drive is None:
             finalize(cell)
         else:
             live.append(cell)
 
-    while live:
+    queue = deque(pending)
+    live: deque = deque()
+    while True:
+        while queue and (width is None or len(live) < width):
+            i = queue.popleft()
+            attempts[i] += 1
+            try:
+                cell = build(i)
+            except Exception:
+                cell = rebuild_or_raise(i)
+            admit(cell)
+        if not live:
+            return
         cell = live.popleft()
         start = time.perf_counter()
         try:
@@ -554,11 +485,7 @@ def _sweep_batch(specs, pending, finish, emit, config, params,
                 done = cell.drive.advance(slice_cycles)
         except Exception:
             cell.wall += time.perf_counter() - start
-            replacement = rebuild_or_raise(cell.index)
-            if replacement.drive is None:
-                finalize(replacement)
-            else:
-                live.append(replacement)
+            admit(rebuild_or_raise(cell.index))
             continue
         cell.wall += time.perf_counter() - start
         if done:

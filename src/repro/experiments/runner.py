@@ -56,11 +56,11 @@ class PreparedRun:
 
     Either ``result`` is already set (memo or store hit — nothing to
     simulate) or ``simulator`` holds the ready cell and :meth:`finish`
-    packages its statistics into a :class:`RunResult` (applying the same
-    store/memo writes the monolithic ``run_*`` path performs).  The
-    lock-step batch executor (:func:`repro.exec.run_sweep` with
-    ``batch=True``) drives many prepared cells' simulators concurrently
-    via :meth:`Simulator.start`.
+    packages its statistics into a :class:`RunResult`, applying the
+    store and memo writes.  :meth:`run` drives one cell to completion;
+    the in-process sweep executor (:func:`repro.exec.run_sweep`) instead
+    drives prepared cells' simulators in slices via
+    :meth:`Simulator.start`.
     """
 
     result: Optional[RunResult] = None
@@ -70,6 +70,12 @@ class PreparedRun:
     def finish(self, stats: NetworkStats) -> RunResult:
         """Package the finished simulation's statistics."""
         return self.package(stats)
+
+    def run(self) -> RunResult:
+        """The hit's result, or the cell simulated and packaged."""
+        if self.result is not None:
+            return self.result
+        return self.finish(self.simulator.run())
 
 
 class ExperimentRunner:
@@ -377,13 +383,10 @@ class ExperimentRunner:
         into the memo key and store digest, so zero-fault cells keep their
         historical addresses and faulted cells get their own.
         """
-        prep = self.prepare_unicast(
+        return self.prepare_unicast(
             design, workload, seed=seed, observation=observation,
             faults=faults, stage_profile=stage_profile,
-        )
-        if prep.result is not None:
-            return prep.result
-        return prep.finish(prep.simulator.run())
+        ).run()
 
     def prepare_unicast(
         self,
@@ -458,13 +461,10 @@ class ExperimentRunner:
         ``realization_style``: 'unicast', 'vct', or 'rf'.  An
         ``observation`` forces a fresh run with metrics/tracing attached.
         """
-        prep = self.prepare_multicast(
+        return self.prepare_multicast(
             design, realization_style, locality_percent,
             observation=observation, stage_profile=stage_profile,
-        )
-        if prep.result is not None:
-            return prep.result
-        return prep.finish(prep.simulator.run())
+        ).run()
 
     def prepare_multicast(
         self,

@@ -10,7 +10,7 @@ multicast hooks, fault state, and the observation sink.  Swapping kernels
 therefore never changes what traffic generators, multicast engines, or the
 fault subsystem see.
 
-Three kernels ship (see :mod:`repro.noc.kernel` for the shortlist); the
+Two kernels ship (see :mod:`repro.noc.kernel` for the shortlist); the
 registry is *public*: third-party kernels join with::
 
     from repro.noc import kernel
@@ -75,7 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.profile import StageProfile
 
 #: The kernel a Network uses when none is requested.
-DEFAULT_KERNEL = "fast"
+DEFAULT_KERNEL = "batch"
 
 #: The capability vocabulary kernels declare from (see module docstring).
 CAPABILITIES = frozenset({"faults", "multicast", "stage_profile", "batch_step"})

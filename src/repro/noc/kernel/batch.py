@@ -1,9 +1,9 @@
 """The batch kernel: struct-of-arrays state, stage-bulk scans.
 
-Third kernel in the registry, same exact-results contract as ``fast``
-(see :mod:`repro.noc.kernel.base`): for any run configuration the stats
-digests and trace streams match the reference bit for bit.  What changes
-is how each cycle finds its work:
+The default kernel, held to the exact-results contract against the
+``reference`` oracle (see :mod:`repro.noc.kernel.base`): for any run
+configuration the stats digests and trace streams match the reference
+bit for bit.  What changes is how each cycle finds its work:
 
 * **Struct-of-arrays state** (:class:`~repro.noc.kernel.soa.SoAState`).
   Per-VC pipeline scalars live in flat parallel arrays indexed by a
@@ -14,11 +14,11 @@ is how each cycle finds its work:
 * **Active-index vectors.**  Each router keeps two sorted slot lists —
   ``pend`` (ROUTE/VA heads) and ``act`` (ACTIVE ones) — maintained at
   state transitions.  The RC/VA and switch stages iterate exactly the
-  occupied slots, replacing the fast kernel's port×VC state scan
-  (~6×VCs reads per active router to find a handful of heads).  Because
-  slot numbering follows (port insertion order, VC index), ascending
-  slot order *is* the reference arbitration scan order, so candidate
-  lists come out pre-sorted and per-port request order is free.
+  occupied slots, replacing a port×VC state scan (~6×VCs reads per
+  active router to find a handful of heads).  Because slot numbering
+  follows (port insertion order, VC index), ascending slot order *is*
+  the reference arbitration scan order, so candidate lists come out
+  pre-sorted and per-port request order is free.
 * **Slot-addressed event wheel.**  Wheel buckets carry ``(slot,
   packet)`` 2-tuples; each output link's downstream slot base is
   precomputed, so delivery is two list reads instead of router → port →
@@ -35,8 +35,9 @@ sequence (including the transient drop/re-add of routers whose only
 flits are still in flight), deferred-op replay order, per-port
 round-robin arithmetic, same-cycle credit returns, and the multicast
 capacity quirk (tail flits read the released head's empty target list).
-``tests/test_kernel_equiv.py`` holds all three kernels to identical
-stats and trace digests across traffic × routing × faults × multicast.
+``tests/test_kernel_equiv.py`` holds both kernels to identical stats
+and trace digests across traffic × routing × faults × multicast ×
+closed-loop retunes.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class BatchKernel(SimKernel):
         super().__init__(net)
         self._ops: list[int] = []
         self._acc: list = [0, 0, 0, 0, 0, 0, 0.0]
+        self._s: SoAState | None = None
         self.rewire()
 
     # -- cache construction --------------------------------------------------
@@ -77,8 +79,12 @@ class BatchKernel(SimKernel):
 
         Only called on a quiescent network (construction,
         ``use_kernel``, ``apply_shortcuts``), so rebuilding from the
-        all-idle object model is exact.
+        all-idle object model is exact.  A retune can land mid-block (a
+        control loop's tick runs inside :meth:`step_block`), so the old
+        state's un-flushed per-link tallies are folded in first.
         """
+        if self._s is not None:
+            self._flush()
         net = self.net
         s = self._s = SoAState(net)
         max_latency = 1

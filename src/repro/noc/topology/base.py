@@ -52,7 +52,6 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.params import TopologyParams
@@ -308,8 +307,14 @@ class TopologyProvider:
             links.extend((r, n) for n in self.neighbors(r).values())
         return links
 
-    def grid_graph(self) -> "nx.DiGraph":
-        """The router graph as a directed graph (used by shortcut selection)."""
+    def grid_graph(self):
+        """The router graph as a ``networkx.DiGraph``.
+
+        A cross-check for the tests; networkx is a ``dev`` extra, so it is
+        imported only here.
+        """
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(range(self.num_routers))
         g.add_edges_from(self.mesh_links())

@@ -3,8 +3,9 @@
 The seven probabilistic trace patterns of Table 1 live in
 :mod:`repro.traffic.patterns`; statistical application models substituting
 the paper's Simics traces in :mod:`repro.traffic.applications`; trace
-record/replay in :mod:`repro.traffic.trace`; and the multicast workload of
-Section 5.2 in :mod:`repro.traffic.multicast_traffic`.
+record/replay in :mod:`repro.traffic.trace`; phase-changing composites in
+:mod:`repro.traffic.phased`; and the multicast workload of Section 5.2 in
+:mod:`repro.traffic.multicast_traffic`.
 """
 
 from repro.traffic.analysis import (
@@ -25,6 +26,7 @@ from repro.traffic.patterns import (
 from repro.traffic.permutations import (
     all_permutations, bit_complement, shuffle, transpose,
 )
+from repro.traffic.phased import PhasedSource
 from repro.traffic.probabilistic import ProbabilisticTraffic, expected_frequency
 from repro.traffic.trace import Trace, TraceRecord, TraceReplay, record_trace
 
@@ -38,6 +40,7 @@ __all__ = [
     "MulticastConfig",
     "MulticastTraffic",
     "PATTERN_NAMES",
+    "PhasedSource",
     "ProbabilisticTraffic",
     "Trace",
     "TraceRecord",

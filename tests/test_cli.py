@@ -376,9 +376,9 @@ class TestKernelsCommand:
     def test_lists_registry_rows(self, capsys):
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
-        for name in ("fast", "batch", "reference"):
+        for name in ("batch", "reference"):
             assert name in out
-        assert "* fast" in out          # default marker
+        assert "* batch" in out         # default marker
 
     def test_json_rows_match_registry(self, capsys):
         from repro.noc.kernel import list_kernels
@@ -387,7 +387,7 @@ class TestKernelsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["items"] == list_kernels()
         assert [row["name"] for row in payload["items"]] == \
-               ["fast", "batch", "reference"]
+               ["batch", "reference"]
 
     def test_kernel_choices_track_registry(self):
         """Every registered kernel is accepted by ``--kernel``."""

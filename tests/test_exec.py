@@ -312,6 +312,25 @@ class TestSweep:
                          batch=True)
         assert warm.hits == len(GRID) and warm.misses == 0
 
+    @pytest.mark.parametrize("batch,expected", [
+        (False, ["prepare", "done", "prepare", "done"]),
+        (True, ["prepare", "prepare", "done", "done"]),
+    ])
+    def test_live_width(self, monkeypatch, store, batch, expected):
+        """In-process sweeps build the next cell only once the previous
+        one is done; ``batch`` builds every miss up front."""
+        real = engine_module.prepare_spec
+        log = []
+
+        def logged(*args):
+            log.append("prepare")
+            return real(*args)
+
+        monkeypatch.setattr(engine_module, "prepare_spec", logged)
+        run_sweep(GRID[:2], config=CONFIG, params=PARAMS, store=store,
+                  batch=batch, progress=lambda e: log.append(e["event"]))
+        assert log == expected
+
     def test_warm_rerun_simulates_nothing(self, store):
         cold = run_sweep(GRID, config=CONFIG, params=PARAMS,
                          store=store, jobs=1)
@@ -339,29 +358,35 @@ class TestSweep:
         assert [e["event"] for e in events[2:]] == ["hit", "hit"]
 
     def test_retry_once_recovers(self, monkeypatch, store):
-        real = engine_module.execute_spec
+        real = engine_module.prepare_spec
         failures = {"left": 1}
 
-        def flaky(runner, spec):
+        def flaky(runner, spec, *args):
             if failures["left"]:
                 failures["left"] -= 1
                 raise RuntimeError("transient")
-            return real(runner, spec)
+            return real(runner, spec, *args)
 
-        monkeypatch.setattr(engine_module, "execute_spec", flaky)
+        monkeypatch.setattr(engine_module, "prepare_spec", flaky)
+        events = []
         report = run_sweep(GRID[:1], config=CONFIG, params=PARAMS,
-                           store=store, jobs=1)
+                           store=store, jobs=1, progress=events.append)
         assert report.outcomes[0].attempts == 2
         assert report.outcomes[0].result.avg_latency > 0
+        assert [e["event"] for e in events] == ["retry", "done"]
 
     def test_persistent_failure_raises(self, monkeypatch, store):
-        def broken(runner, spec):
+        calls = []
+
+        def broken(runner, spec, *args):
+            calls.append(spec)
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(engine_module, "execute_spec", broken)
+        monkeypatch.setattr(engine_module, "prepare_spec", broken)
         with pytest.raises(RuntimeError, match="permanent"):
             run_sweep(GRID[:1], config=CONFIG, params=PARAMS,
                       store=store, jobs=1)
+        assert len(calls) == 2          # one attempt plus one retry
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                         reason="speedup needs >= 4 cores")

@@ -1,4 +1,4 @@
-"""Differential equivalence suite: Fast/BatchKernel vs ReferenceKernel.
+"""Differential equivalence suite: BatchKernel vs ReferenceKernel.
 
 The kernel contract (see ``src/repro/noc/kernel/__init__.py``) is *bit
 identity*: for any (seed, traffic, shortcut set, fault schedule, multicast
@@ -7,7 +7,8 @@ configuration), every registered kernel must produce identical
 :meth:`NetworkStats.digest`, a SHA-256 over the canonical JSON of every
 counter, histogram, and per-packet latency — and, with tracing on,
 identical event streams.  Each case below runs the same cell once per
-kernel on a fresh runner (no memo or store sharing) and compares digests.
+kernel on a fresh runner (no memo or store sharing) and compares digests;
+the closed-loop case retunes the overlay mid-run.
 
 Also covered: the ``__slots__`` audit for hot-path classes, kernel
 registry / capability-gating / resolver guards, digest neutrality of the
@@ -22,6 +23,7 @@ import json
 
 import pytest
 
+from repro.control import run_closed_loop
 from repro.exec.jobs import job_digest, sweep_grid
 from repro.experiments import FAST_CONFIG, ExperimentRunner
 from repro.noc import (
@@ -29,7 +31,6 @@ from repro.noc import (
     DEFAULT_KERNEL,
     KERNELS,
     BatchKernel,
-    FastKernel,
     KernelCapabilityError,
     KernelSpec,
     ReferenceKernel,
@@ -47,7 +48,7 @@ from repro.noc.router import InputPort, OutputLink, Router, VirtualChannel
 from repro.obs import EventTracer, Observation, StageProfile
 from repro.params import DEFAULT_PARAMS, SimulationParams
 
-KERNEL_NAMES = ("reference", "fast", "batch")
+KERNEL_NAMES = ("reference", "batch")
 
 #: Short but non-trivial windows: long enough to exercise warmup boundary
 #: crossings, escape timeouts, and full drain; short enough to keep the
@@ -102,7 +103,6 @@ def test_unicast_digests_identical(style, workload, adaptive):
         )
         for kernel in KERNEL_NAMES
     }
-    assert digests["fast"] == digests["reference"]
     assert digests["batch"] == digests["reference"]
 
 
@@ -114,7 +114,6 @@ def test_faulted_run_digests_identical():
         kernel: _unicast_digest(kernel, "static", "uniform", faults=FAULTS)
         for kernel in KERNEL_NAMES
     }
-    assert digests["fast"] == digests["reference"]
     assert digests["batch"] == digests["reference"]
 
 
@@ -137,8 +136,34 @@ def test_multicast_digests_identical(realization, locality):
         result = runner.run_multicast(design, realization, locality)
         assert result.stats is not None
         digests[kernel] = result.stats.digest()
-    assert digests["fast"] == digests["reference"]
     assert digests["batch"] == digests["reference"]
+
+
+# -- closed loop -----------------------------------------------------------------
+
+def test_closed_loop_digests_identical():
+    # The control loop retunes the overlay between cycles of a kernel
+    # block (its tick runs inside step_block), so rewire() must not lose
+    # the block's un-flushed counters; at least one epoch must apply.
+    config = {
+        kernel: dataclasses.replace(
+            FAST_CONFIG,
+            sim=SimulationParams(warmup_cycles=100, measure_cycles=1_400,
+                                 drain_cycles=4_000, kernel=kernel),
+        )
+        for kernel in KERNEL_NAMES
+    }
+    runs = {
+        kernel: run_closed_loop(
+            ExperimentRunner(config[kernel]), "phased:hotBiDF+uniDF@600",
+            control="epoch=400,min=20",
+        )
+        for kernel in KERNEL_NAMES
+    }
+    assert runs["reference"].applied >= 1
+    assert (runs["batch"].result.stats.digest()
+            == runs["reference"].result.stats.digest())
+    assert runs["batch"].journal_digest == runs["reference"].journal_digest
 
 
 # -- trace streams ---------------------------------------------------------------
@@ -168,9 +193,7 @@ def _trace_digest(kernel: str) -> tuple[str, str]:
 
 
 def test_trace_event_streams_identical():
-    ref = _trace_digest("reference")
-    assert _trace_digest("fast") == ref
-    assert _trace_digest("batch") == ref
+    assert _trace_digest("batch") == _trace_digest("reference")
 
 
 # -- __slots__ audit -------------------------------------------------------------
@@ -187,7 +210,7 @@ HOT_CLASSES = (
 def test_hot_classes_have_no_dict(cls):
     # An instance __dict__ sneaks back in if any class in the MRO lacks
     # __slots__; check a real instance from a built network.
-    runner = ExperimentRunner(_config("fast"))
+    runner = ExperimentRunner(_config("batch"))
     net = runner.design("static", 16).new_network()
     router = net.routers[0]
     instances = {
@@ -205,9 +228,8 @@ def test_hot_classes_have_no_dict(cls):
 # -- registry and selection guards ----------------------------------------------
 
 def test_kernel_registry():
-    assert DEFAULT_KERNEL == "fast"
-    assert isinstance(KERNELS["fast"], KernelSpec)
-    assert KERNELS["fast"].factory is FastKernel
+    assert DEFAULT_KERNEL == "batch"
+    assert isinstance(KERNELS["batch"], KernelSpec)
     assert KERNELS["reference"].factory is ReferenceKernel
     assert KERNELS["batch"].factory is BatchKernel
     assert get_kernel("reference") is ReferenceKernel
@@ -218,13 +240,14 @@ def test_kernel_registry():
         get_kernel("warp-speed")
     # Default kernel is listed first; the rest alphabetically.
     rows = list_kernels()
-    assert [row["name"] for row in rows] == ["fast", "batch", "reference"]
+    assert [row["name"] for row in rows] == ["batch", "reference"]
     assert rows[0]["default"] is True
-    assert "batch_step" in rows[1]["capabilities"]
+    assert "batch_step" in rows[0]["capabilities"]
+    assert "batch_step" not in rows[1]["capabilities"]
 
 
 def test_register_validates_and_unregisters():
-    class ToyKernel(FastKernel):
+    class ToyKernel(BatchKernel):
         name = "toy"
 
     register("toy", ToyKernel, capabilities={"faults"})
@@ -253,7 +276,7 @@ def test_resolve_kernel_precedence():
 
 
 def test_capability_gating_refuses_incapable_kernel():
-    class NoFaultKernel(FastKernel):
+    class NoFaultKernel(BatchKernel):
         name = "nofault"
 
     register("nofault", NoFaultKernel, capabilities={"multicast"})
@@ -265,7 +288,7 @@ def test_capability_gating_refuses_incapable_kernel():
         msg = str(exc.value)
         assert "faults" in msg and "nofault" in msg
         # The error names capable alternatives.
-        assert "fast" in msg
+        assert "batch" in msg
         # Without faults the same kernel runs fine.
         result = runner.run_unicast(design, "uniform")
         assert result.stats is not None
@@ -274,7 +297,7 @@ def test_capability_gating_refuses_incapable_kernel():
 
 
 def test_stage_profile_requires_capability():
-    class BareKernel(FastKernel):
+    class BareKernel(BatchKernel):
         name = "bare"
 
     register("bare", BareKernel, capabilities={"faults", "multicast"})
@@ -290,16 +313,16 @@ def test_stage_profile_requires_capability():
 
 
 def test_new_network_kernel_selection():
-    runner = ExperimentRunner(_config("fast"))
+    runner = ExperimentRunner(_config("batch"))
     design = runner.design("static", 16)
-    assert design.new_network().kernel.name == "fast"
+    assert design.new_network().kernel.name == "batch"
     assert design.new_network(kernel="reference").kernel.name == "reference"
 
 
 def test_use_kernel_swaps_and_guards():
-    runner = ExperimentRunner(_config("fast"))
+    runner = ExperimentRunner(_config("batch"))
     net = runner.design("static", 16).new_network()
-    assert isinstance(net.kernel, FastKernel)
+    assert isinstance(net.kernel, BatchKernel)
     net.use_kernel("reference")
     assert isinstance(net.kernel, ReferenceKernel)
     # Same-name swap is a no-op even mid-flight.
@@ -310,7 +333,7 @@ def test_use_kernel_swaps_and_guards():
     # Cross-kernel swap with packets in flight must refuse: in-flight
     # wheel state lives inside the kernel.
     with pytest.raises(RuntimeError, match="in flight"):
-        net.use_kernel("fast")
+        net.use_kernel("batch")
 
 
 # -- digest neutrality -----------------------------------------------------------

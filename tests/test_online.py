@@ -2,16 +2,18 @@
 
 import pytest
 
-from repro.core import (
-    OnlineReconfigurator, PhasedSource, RFIOverlay, baseline,
-)
+from repro.control import ControlConfig, ControlLoop
+from repro.control.loop import Phase
+from repro.core import RFIOverlay, baseline
 from repro.core.reconfig import ReconfigurationController
 from repro.noc import (
     Message, MeshTopology, Network, RoutingTables, Shortcut,
 )
 from repro.noc.simulator import Simulator
 from repro.params import ArchitectureParams, MeshParams, SimulationParams
-from repro.traffic import ProbabilisticTraffic, all_patterns, hotspot_at
+from repro.traffic import (
+    PhasedSource, ProbabilisticTraffic, all_patterns, hotspot_at,
+)
 
 PARAMS = ArchitectureParams()
 
@@ -67,97 +69,94 @@ class TestPhasedSource:
 
 
 class TestOnlineReconfigurator:
-    def make(self, topo, interval=800, **kwargs):
+    """The runtime reconfiguration state machine, as :class:`ControlLoop`
+    runs it: measure -> drain (bounded by a deadline) -> pause -> measure."""
+
+    def make(self, topo, source=None, **config):
         overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
         controller = ReconfigurationController(topo, overlay)
-        pattern = hotspot_at(topo, [(7, 0)], strength=16)
-        source = ProbabilisticTraffic(topo, pattern, 0.02, seed=3)
+        if source is None:
+            pattern = hotspot_at(topo, [(7, 0)], strength=16)
+            source = ProbabilisticTraffic(topo, pattern, 0.02, seed=3)
+        config.setdefault("epoch_cycles", 800)
+        config.setdefault("hysteresis", 0.0)
         net = baseline(16, PARAMS, topo).new_network()
-        online = OnlineReconfigurator(source, controller,
-                                      interval_cycles=interval, **kwargs)
-        return net, online
+        return net, ControlLoop(source, controller, ControlConfig(**config))
 
     def test_reconfigures_on_schedule(self, topo):
-        net, online = self.make(topo)
+        net, loop = self.make(topo)
         sim = SimulationParams(warmup_cycles=100, measure_cycles=2_500,
                                drain_cycles=6_000)
-        stats = Simulator(net, [online], sim).run()
-        assert online.reconfigurations >= 2
+        stats = Simulator(net, [loop], sim).run()
+        assert loop.applied >= 1
+        assert [r.epoch for r in loop.journal] == list(
+            range(1, len(loop.journal) + 1))
         assert stats.delivered_packets > 0
         # The adapted network actually uses its shortcuts.
         assert stats.rf_hop_sum > 0
 
     def test_overhead_charged(self, topo):
-        net, online = self.make(topo)
+        net, loop = self.make(topo)
         for _ in range(2_500):
-            online.tick(net)
+            loop.tick(net)
             net.step()
-        assert online.events
-        for event in online.events:
+        applied = [r for r in loop.journal if r.action == "applied"]
+        assert applied
+        for record in applied:
             # 99-cycle table update + tuning, plus a non-negative drain.
-            assert event.overhead_cycles >= 99
-            assert event.drain_cycles >= 0
-            assert len(event.shortcuts) == 16
+            assert record.overhead_cycles >= 99
+            assert record.drain_cycles >= 0
+            assert record.shortcuts == 16
 
     def test_postpones_without_evidence(self, topo):
-        overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
-        controller = ReconfigurationController(topo, overlay)
-
         class Silent:
             def sample_messages(self, cycle):
                 return []
 
-        net = baseline(16, PARAMS, topo).new_network()
-        online = OnlineReconfigurator(Silent(), controller, interval_cycles=50)
+        net, loop = self.make(topo, source=Silent(), epoch_cycles=50)
         for _ in range(500):
-            online.tick(net)
+            loop.tick(net)
             net.step()
-        assert online.reconfigurations == 0
+        assert loop.applied == 0
+        assert len(loop.journal) >= 9
+        assert {(r.action, r.reason) for r in loop.journal} == {
+            ("skipped", "insufficient-traffic")}
 
     def test_decay_validated(self, topo):
-        overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
-        controller = ReconfigurationController(topo, overlay)
         with pytest.raises(ValueError):
-            OnlineReconfigurator(object(), controller, decay=1.5)
+            self.make(topo, decay=1.5)
 
     def test_drain_deadline_validated(self, topo):
-        overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
-        controller = ReconfigurationController(topo, overlay)
         with pytest.raises(ValueError):
-            OnlineReconfigurator(object(), controller,
-                                 drain_deadline_cycles=0)
+            self.make(topo, drain_deadline_cycles=0)
+
+    def _drain_busy(self, net, loop, cycles):
+        """Force a drain, keeping the network busy so it never quiesces."""
+        loop.phase = Phase.DRAIN
+        loop._drain_started = net.cycle
+        for _ in range(cycles):
+            # A fresh wormhole every cycle: in_flight never reaches zero.
+            net.inject(Message(src=0, dst=99, size_bytes=39))
+            loop.tick(net)
+            net.step()
 
     def test_drain_deadline_breaks_livelock(self, topo):
         """A network that never quiesces costs a skipped epoch, not a hang."""
-        from repro.core.online import Phase
+        net, loop = self.make(topo, drain_deadline_cycles=5)
+        self._drain_busy(net, loop, 10)
+        [record] = loop.journal
+        assert (record.action, record.reason) == ("skipped", "drain-deadline")
+        assert record.drain_cycles == 5
+        assert loop.phase is Phase.MEASURE
+        assert loop.applied == 0
+        # The next attempt is a full epoch later, not retried hot.
+        assert loop.next_epoch_at == record.cycle + loop.config.epoch_cycles
 
-        net, online = self.make(topo, drain_deadline_cycles=5)
-        online.phase = Phase.DRAIN
-        online._drain_started = net.cycle
-        for _ in range(10):
-            # Keep the network permanently busy: a fresh wormhole every
-            # cycle, so in_flight never reaches zero during the drain.
-            net.inject(Message(src=0, dst=99, size_bytes=39))
-            online.tick(net)
-            net.step()
-        assert online.drain_timeouts == 1
-        assert online.phase is Phase.MEASURE
-        assert online.reconfigurations == 0
-        # The next attempt is postponed a full interval, not retried hot.
-        assert online.next_reconfig_at > net.cycle
-
-    def test_no_deadline_keeps_draining(self, topo):
-        from repro.core.online import Phase
-
-        net, online = self.make(topo)  # drain_deadline_cycles=None
-        online.phase = Phase.DRAIN
-        online._drain_started = net.cycle
-        for _ in range(10):
-            net.inject(Message(src=0, dst=99, size_bytes=39))
-            online.tick(net)
-            net.step()
-        assert online.drain_timeouts == 0
-        assert online.phase is Phase.DRAIN
+    def test_keeps_draining_until_deadline(self, topo):
+        net, loop = self.make(topo, drain_deadline_cycles=400)
+        self._drain_busy(net, loop, 10)
+        assert len(loop.journal) == 0
+        assert loop.phase is Phase.DRAIN
 
 
 class TestMulticastReconfigure:
