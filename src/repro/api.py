@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from repro.exec.engine import ProgressFn, SweepReport, run_sweep
+from repro.exec.engine import ProgressFn, SweepReport, prepare_spec, run_sweep
 from repro.exec.jobs import sweep_grid
+from repro.exec.request import RequestError, RunRequest
 from repro.exec.store import ResultStore
 from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
@@ -117,31 +118,25 @@ def simulate(
     (``"phased:uniform+1Hotspot@2000"``).  Online runs are always
     metered and store their decision journal alongside the result; use
     :func:`repro.control.run_closed_loop` to get the journal itself.
+    Every cell argument is checked by
+    :class:`~repro.exec.request.RunRequest`; a bad value raises its
+    :class:`~repro.exec.request.RequestError` before anything is built.
     """
+    request = RunRequest(
+        design=design, workload=workload, width=width, seed=seed,
+        access_points=access_points, adaptive_routing=adaptive_routing,
+        faults=faults, topology=topology, online=online,
+    )
+    closed_loop = request.online is not None
+    if closed_loop and trace_events:
+        raise RequestError("event tracing is not supported for online runs")
     resolved_config = _resolve_config(config, fast)
     if kernel is not None:
         resolved_config = _with_kernel(resolved_config, kernel)
     runner = ExperimentRunner(
         resolved_config, params, store=_resolve_store(store)
     )
-    if online is not None and online is not False:
-        if trace_events:
-            raise ValueError(
-                "event tracing is not supported for online runs")
-        from repro.control import run_closed_loop
-
-        return run_closed_loop(
-            runner, workload, style=design, width=width, seed=seed,
-            access_points=access_points,
-            control="" if online is True else online,
-            faults=faults, topology=topology,
-        ).result
-    design_point = runner.design(
-        design, width, workload=workload,
-        num_access_points=access_points, adaptive_routing=adaptive_routing,
-        topology=topology,
-    )
-    if observation is None and (metrics or trace_events):
+    if observation is None and not closed_loop and (metrics or trace_events):
         tracer = None
         if trace_events:
             capacity = (
@@ -151,10 +146,7 @@ def simulate(
         observation = Observation(
             metrics=MetricsRegistry() if metrics else None, tracer=tracer,
         )
-    result = runner.run_unicast(
-        design_point, workload, seed=seed, observation=observation,
-        faults=faults,
-    )
+    result = prepare_spec(runner, request.spec(), observation).run()
     if (
         observation is not None
         and observation.tracer is not None
@@ -209,16 +201,10 @@ def sweep(
     then restricted to ``baseline``/``adaptive`` and the control spec
     joins every cell's digest.
     """
-    if faults is not None and not isinstance(faults, str):
-        faults = faults.canonical()
     specs = sweep_grid(
         styles, widths, workloads,
         adaptive_routing=adaptive_routing, seeds=seeds, faults=faults,
-        topology=topology,
-        control=(
-            None if online in (None, False)
-            else ("" if online is True else online)
-        ),
+        topology=topology, control=online,
     )
     resolved_config = _resolve_config(config, fast)
     if kernel is not None:

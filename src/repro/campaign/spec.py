@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.exec.jobs import JobSpec, normalize_spec, sweep_grid
+from repro.exec.request import RequestError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import jsonable
 from repro.params import ArchitectureParams
@@ -97,103 +98,28 @@ class CampaignSpec:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> "CampaignSpec":
-        """Check every axis value; raises :class:`CampaignError`."""
-        from repro.serve.protocol import (
-            DESIGN_STYLES, LINK_WIDTHS, known_workloads,
-        )
+        """Check the spec; raises :class:`CampaignError`.
 
+        The campaign's own rules are checked here; every axis value goes
+        through the request rules every front door shares (see
+        :mod:`repro.exec.request`), by expanding the full grid.
+        """
+        self._grid()
+        return self
+
+    def _grid(self) -> list[JobSpec]:
+        """Every cell of the full grid, un-normalized, in expansion order."""
         if not self.name or not isinstance(self.name, str):
             raise CampaignError("campaign 'name' must be a non-empty string")
         for axis in ("styles", "widths", "workloads", "faults", "topologies",
                      "objectives", "control"):
             if not getattr(self, axis):
                 raise CampaignError(f"campaign {axis!r} must be non-empty")
-        online = False
-        for entry in self.control:
-            if entry is None:
-                continue
-            if not isinstance(entry, str):
-                raise CampaignError(
-                    "'control' entries must be spec strings or null")
-            online = True
-            from repro.control.loop import ControlConfig
-
-            try:
-                ControlConfig.from_spec(entry)
-            except ValueError as exc:
-                raise CampaignError(
-                    f"invalid control spec {entry!r}: {exc}") from exc
-        for style in self.styles:
-            if style not in DESIGN_STYLES:
-                raise CampaignError(
-                    f"unknown design style {style!r}; "
-                    f"one of {list(DESIGN_STYLES)}")
-            if online:
-                from repro.control.run import CONTROL_STYLES
-
-                if style not in CONTROL_STYLES:
-                    raise CampaignError(
-                        f"an online control axis accepts styles "
-                        f"{list(CONTROL_STYLES)}, got {style!r}")
-        for width in self.widths:
-            if width not in LINK_WIDTHS:
-                raise CampaignError(
-                    f"unknown link width {width!r}; "
-                    f"one of {list(LINK_WIDTHS)}")
-        names = known_workloads()
-        # A phased composite workload only means something to a closed
-        # loop, so it needs every control slice online.
-        all_online = online and None not in self.control
-        for workload in self.workloads:
-            if workload in names:
-                continue
-            from repro.control.run import PHASED_PREFIX, parse_phased_workload
-
-            if all_online and workload.startswith(PHASED_PREFIX):
-                try:
-                    phases, _ = parse_phased_workload(workload)
-                except ValueError as exc:
-                    raise CampaignError(str(exc)) from exc
-                unknown = [p for p in phases if p not in names]
-                if unknown:
-                    raise CampaignError(
-                        f"unknown workloads {unknown} in {workload!r}")
-                continue
-            if workload.startswith(PHASED_PREFIX):
-                raise CampaignError(
-                    f"phased workload {workload!r} needs an all-online "
-                    "'control' axis")
-            raise CampaignError(f"unknown workload {workload!r}")
-        for seed in self.seeds:
-            if seed is not None and not isinstance(seed, int):
-                raise CampaignError("'seeds' entries must be integers or null")
         for objective in self.objectives:
             if objective not in OBJECTIVE_FIELDS:
                 raise CampaignError(
                     f"unknown objective {objective!r}; "
                     f"one of {sorted(OBJECTIVE_FIELDS)}")
-        for spec in self.faults:
-            if not isinstance(spec, str):
-                raise CampaignError("'faults' entries must be spec strings")
-            if spec:
-                from repro.faults import as_schedule
-
-                try:
-                    schedule = as_schedule(spec)
-                except (ValueError, TypeError) as exc:
-                    raise CampaignError(
-                        f"invalid fault spec {spec!r}: {exc}") from exc
-                if schedule is None:
-                    raise CampaignError(
-                        f"fault spec {spec!r} names no faults; use \"\" "
-                        "for the fault-free slice")
-        from repro.noc.topology import TOPOLOGIES
-
-        for topology in self.topologies:
-            if topology not in TOPOLOGIES:
-                raise CampaignError(
-                    f"unknown topology {topology!r}; "
-                    f"one of {sorted(TOPOLOGIES)}")
         if self.sample is not None and self.sample <= 0:
             raise CampaignError("'sample' must be a positive cell budget")
         if self.chunk <= 0:
@@ -205,7 +131,21 @@ class CampaignSpec:
                 raise CampaignError(
                     f"unknown kernel {self.kernel!r}; "
                     f"one of {sorted(KERNELS)}")
-        return self
+        try:
+            return [
+                cell
+                for control in self.control
+                for topology in self.topologies
+                for faults in self.faults
+                for cell in sweep_grid(
+                    self.styles, self.widths, self.workloads,
+                    adaptive_routing=self.adaptive_routing,
+                    seeds=self.seeds, faults=faults, topology=topology,
+                    control=control,
+                )
+            ]
+        except RequestError as exc:
+            raise CampaignError(str(exc)) from exc
 
     # -- expansion -----------------------------------------------------------
 
@@ -224,19 +164,7 @@ class CampaignSpec:
         A ``sample`` budget keeps a seeded random subset *in grid order*,
         so equal (spec, config) pairs always expand identically.
         """
-        self.validate()
-        cells: list[JobSpec] = []
-        for control_spec in self.control:
-            for topology in self.topologies:
-                for fault_spec in self.faults:
-                    cells.extend(sweep_grid(
-                        self.styles, self.widths, self.workloads,
-                        adaptive_routing=self.adaptive_routing,
-                        seeds=self.seeds,
-                        faults=fault_spec or None,
-                        topology=topology,
-                        control=control_spec,
-                    ))
+        cells = self._grid()
         if self.sample is not None and self.sample < len(cells):
             rng = random.Random(self.sample_seed)
             keep = sorted(rng.sample(range(len(cells)), self.sample))

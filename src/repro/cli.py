@@ -60,7 +60,10 @@ from repro.experiments import (
     r1_shortcut_degradation, r2_transient_outage, table2_area,
 )
 from repro.params import DEFAULT_PARAMS
-from repro.serve.protocol import DESIGN_STYLES, known_workloads
+from repro.exec.request import (
+    DESIGN_STYLES, LINK_WIDTHS, RequestError, RunRequest, check_online,
+    check_topology,
+)
 from repro.version import package_version
 
 EXPERIMENTS = {
@@ -309,51 +312,26 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _check_workload(workload: str, online: bool) -> None:
-    """Known workload name, or (online only) a phased composite."""
-    if workload in known_workloads():
-        return
-    from repro.control.run import PHASED_PREFIX, parse_phased_workload
-
-    if online and workload.startswith(PHASED_PREFIX):
-        try:
-            phases, _ = parse_phased_workload(workload)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-        unknown = [p for p in phases if p not in known_workloads()]
-        if unknown:
-            raise CLIError(f"unknown workloads {unknown} in {workload!r}; "
-                           "see 'workloads'")
-        return
-    if workload.startswith(PHASED_PREFIX):
-        raise CLIError(f"phased workload {workload!r} needs --online "
-                       "(a closed-loop run)")
-    raise CLIError(f"unknown workload {workload!r}; see 'workloads'")
-
-
 def cmd_simulate(args) -> int:
     """Simulate one (design, workload) cell and print its metrics."""
     from repro.api import simulate
 
-    online = getattr(args, "online", None)
-    _check_workload(args.workload, online is not None)
+    online = args.online
     result = simulate(
         args.design, args.workload, width=args.width, fast=args.fast,
         kernel=getattr(args, "kernel", None),
-        topology=getattr(args, "topology", None),
-        seed=args.seed, faults=args.faults or None,
+        topology=args.topology,
+        seed=args.seed, faults=args.faults,
         trace_events=args.trace_events or None,
         online=online,
     )
     summary = result.summary()
     summary["provenance"] = result.provenance
     if online is not None:
-        from repro.control.loop import ControlConfig
-
-        summary["online"] = ControlConfig.from_spec(online or "").canonical()
+        summary["online"] = check_online(online)
     if args.faults:
         summary["faults"] = args.faults
-    if getattr(args, "topology", None):
+    if args.topology:
         summary["topology"] = args.topology
     if args.trace_events:
         summary["trace_events"] = str(args.trace_events)
@@ -387,7 +365,7 @@ def cmd_simulate(args) -> int:
         print(render_traffic_heatmap(
             result.stats,
             build_topology(DEFAULT_PARAMS.mesh,
-                           provider=getattr(args, "topology", None)),
+                           provider=args.topology),
         ))
     return 0
 
@@ -398,24 +376,14 @@ def cmd_sweep(args) -> int:
     from repro.experiments.export import jsonable, save_json
 
     config = _config_for(args)
-    online = getattr(args, "online", None)
+    online = args.online
     styles = _split_list(args.styles, "styles")
     widths = [_parse_width(w) for w in _split_list(args.widths, "widths")]
     workloads = _split_list(args.workloads, "workloads")
-    for style in styles:
-        if style not in DESIGN_STYLES:
-            raise CLIError(f"unknown design style {style!r}; "
-                           f"one of {','.join(DESIGN_STYLES)}")
-    for workload in workloads:
-        _check_workload(workload, online is not None)
-    try:
-        specs = sweep_grid(styles, widths, workloads,
-                           adaptive_routing=args.adaptive_routing,
-                           faults=args.faults or None,
-                           topology=getattr(args, "topology", None),
-                           control=online)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    specs = sweep_grid(styles, widths, workloads,
+                       adaptive_routing=args.adaptive_routing,
+                       faults=args.faults, topology=args.topology,
+                       control=online)
     trace_dir = Path(args.trace_events) if args.trace_events else None
     # Tracing forces fresh runs, so the persistent cache is bypassed.
     store = (None if args.no_cache or trace_dir
@@ -486,18 +454,18 @@ def cmd_control(args) -> int:
     from repro.exec import ResultStore
     from repro.experiments.export import jsonable
 
-    _check_workload(args.workload, True)
+    RunRequest(design=args.design, workload=args.workload, width=args.width,
+               seed=args.seed, access_points=args.access_points,
+               faults=args.faults, topology=args.topology,
+               online=args.control or True)
     store = None if args.no_cache else ResultStore(args.cache)
     runner = ExperimentRunner(_config_for(args), store=store)
-    try:
-        run = run_closed_loop(
-            runner, args.workload, style=args.design, width=args.width,
-            seed=args.seed, access_points=args.access_points,
-            control=args.control or "", faults=args.faults or None,
-            topology=getattr(args, "topology", None),
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    run = run_closed_loop(
+        runner, args.workload, style=args.design, width=args.width,
+        seed=args.seed, access_points=args.access_points,
+        control=args.control or "", faults=args.faults,
+        topology=args.topology,
+    )
     result = run.result
     summary = run.summary()
     payload = {
@@ -518,7 +486,7 @@ def cmd_control(args) -> int:
         static = best_static_latencies(
             runner, args.workload, width=args.width, seed=args.seed,
             access_points=args.access_points,
-            topology=getattr(args, "topology", None),
+            topology=args.topology,
         )
         best = min(static, key=static.get)
         payload["static"] = static
@@ -628,6 +596,7 @@ def cmd_serve(args) -> int:
 
     if args.workers < 1:
         raise CLIError("--workers must be at least 1")
+    check_topology(args.topology)
     if args.workers > 1:
         return _serve_cluster(args)
     store = (None if args.no_cache
@@ -924,8 +893,9 @@ def _add_common(parser, *, jobs: bool = False, trace: bool = False,
                  "flags)")
     if topology:
         parser.add_argument(
-            "--topology", choices=_topology_names(), default=None,
-            help="substrate topology provider (see 'repro topologies "
+            "--topology", default=None,
+            help="substrate topology provider, one of "
+                 f"{', '.join(_topology_names())} (see 'repro topologies "
                  "list'; non-mesh providers simulate a different network "
                  "and fork the result cache)")
     if jobs:
@@ -985,8 +955,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = add("simulate", "one (design, workload) cell")
     simulate.add_argument("--design", default="baseline",
-                          choices=DESIGN_STYLES)
-    simulate.add_argument("--width", type=int, default=16, choices=[16, 8, 4])
+                          help=f"design style: {', '.join(DESIGN_STYLES)}")
+    simulate.add_argument("--width", type=int, default=16,
+                          help="mesh link width in bytes: "
+                               f"{', '.join(map(str, LINK_WIDTHS))}")
     simulate.add_argument("--workload", default="uniform")
     # Pre-1.0 spelling, kept as a hidden alias until v2.0.
     simulate.add_argument("--trace", dest="workload", const="--workload",
@@ -1189,7 +1161,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CLIError as exc:
+    except (CLIError, RequestError) as exc:
         if getattr(args, "json", False):
             print(json.dumps({"error": str(exc),
                               "version": package_version()}),

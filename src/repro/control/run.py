@@ -264,26 +264,22 @@ def control_spec(
     faults=None,
     topology: Optional[str] = None,
 ):
-    """The JobSpec addressing one online cell (extra carries the knobs)."""
-    from repro.exec import JobSpec
+    """The JobSpec addressing one online cell (extra carries the knobs).
+
+    Built like every other unicast cell (see :mod:`repro.exec.request`),
+    so an online cell named here shares its address with the same cell
+    requested over the CLI, the serving tier or a campaign.
+    """
+    from repro.exec.request import (
+        check_faults, check_topology, spec_extra, unicast_spec,
+    )
 
     config = (control if isinstance(control, ControlConfig)
               else ControlConfig.from_spec(control))
-    extra: dict[str, str] = {"control": config.canonical()}
-    if faults is not None:
-        from repro.faults import as_schedule
-
-        schedule = as_schedule(faults)
-        if schedule is not None:
-            extra["faults"] = schedule.canonical()
-    if topology is not None:
-        from repro.noc.topology import resolve_topology
-
-        extra["topology"] = resolve_topology(topology, None)
-    return JobSpec(
-        kind="unicast", style=style, link_bytes=width, workload=workload,
-        seed=seed, num_access_points=access_points,
-        extra=tuple(sorted(extra.items())),
+    return unicast_spec(
+        style, width, workload, seed, access_points,
+        extra=spec_extra(check_faults(faults), check_topology(topology),
+                         config.canonical()),
     )
 
 

@@ -5,6 +5,8 @@ Three layers (see docs/architecture.md, "Execution engine & result store"):
 
 * :mod:`repro.exec.jobs` — :class:`JobSpec`, a frozen description of one
   experiment cell, with a stable content digest over (spec, config, params);
+  :mod:`repro.exec.request` — :class:`RunRequest`, the one checked request
+  vocabulary every front door builds its specs through;
 * :mod:`repro.exec.store` — :class:`ResultStore`, an on-disk JSON cache
   keyed by digest, with schema versioning and corrupt-entry quarantine;
 * :mod:`repro.exec.engine` — :func:`run_sweep`, a process-pool sweep with
@@ -28,6 +30,7 @@ from repro.exec.engine import (
     prepare_spec, run_sweep,
 )
 from repro.exec.jobs import JobSpec, job_digest, normalize_spec, sweep_grid
+from repro.exec.request import RequestError, RunRequest
 from repro.exec.serialize import (
     decode_result, decode_stats, encode_result, encode_stats,
 )
@@ -38,7 +41,9 @@ __all__ = [
     "JobExecutor",
     "JobOutcome",
     "JobSpec",
+    "RequestError",
     "ResultStore",
+    "RunRequest",
     "SCHEMA_VERSION",
     "StoreStats",
     "SweepReport",

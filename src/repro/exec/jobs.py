@@ -142,8 +142,11 @@ def sweep_grid(
     """The full (style x link-width x workload x seed) unicast grid.
 
     Cells are emitted in deterministic nested order (styles outermost),
-    which is also the order the sweep engine reports results in.
-    ``faults`` (a canonical fault-spec string) applies one schedule to
+    which is also the order the sweep engine reports results in.  Every
+    axis value is checked by the same rules as one
+    :class:`~repro.exec.request.RunRequest`, so a bad value raises the
+    same :class:`~repro.exec.request.RequestError`.
+    ``faults`` (a fault-spec string) applies one schedule to
     every cell, folded into each spec's ``extra`` — and therefore its
     digest — so faulted sweeps address distinct store entries.
     ``topology`` (a registered provider name) runs every cell on that
@@ -154,47 +157,25 @@ def sweep_grid(
     canonical control spec joins ``extra``, forking the digests — an
     online cell can never collide with its offline twin.
     """
-    fields: list[tuple[str, str]] = []
-    if control is not None:
-        from repro.control.loop import ControlConfig
-        from repro.control.run import CONTROL_STYLES
+    from repro.exec import request as rules
 
-        for style in styles:
-            if style not in CONTROL_STYLES:
-                raise ValueError(
-                    f"online sweeps accept styles {list(CONTROL_STYLES)}, "
-                    f"got {style!r}")
-        fields.append(
-            ("control", ControlConfig.from_spec(control).canonical()))
-    if faults:
-        from repro.faults import as_schedule
-
-        schedule = as_schedule(faults)
-        if schedule is None:
-            # A truthy spec that names no faults (e.g. ";;") is almost
-            # certainly a caller mistake; running the grid silently
-            # fault-free would mis-address every cell.
-            raise ValueError(
-                f"fault spec {faults!r} names no faults; pass None for a "
-                "fault-free sweep")
-        fields.append(("faults", schedule.canonical()))
-    if topology is not None and topology != "mesh":
-        from repro.noc.topology import get_spec as get_topology_spec
-
-        get_topology_spec(topology)  # fail fast on unknown names
-        fields.append(("topology", topology))
-    extra = tuple(sorted(fields))
+    control = rules.check_online(control)
+    online = control is not None
+    seeds = tuple(seeds)
+    for style in styles:
+        rules.check_design(style, online)
+    for width in widths:
+        rules.check_width(width)
+    for workload in workloads:
+        rules.check_workload(workload, online)
+    for seed in seeds:
+        rules.check_seed(seed)
+    rules.check_adaptive_routing(adaptive_routing)
+    extra = rules.spec_extra(rules.check_faults(faults),
+                             rules.check_topology(topology), control)
     return [
-        JobSpec(
-            kind="unicast",
-            style=style,
-            link_bytes=width,
-            workload=workload,
-            seed=seed,
-            adaptive_routing=adaptive_routing,
-            design_workload=workload if style in PROFILED_STYLES else None,
-            extra=extra,
-        )
+        rules.unicast_spec(style, width, workload, seed,
+                           adaptive_routing=adaptive_routing, extra=extra)
         for style in styles
         for width in widths
         for workload in workloads

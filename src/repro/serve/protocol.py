@@ -2,9 +2,11 @@
 
 The service speaks plain JSON.  A simulate request names one experiment
 cell with the same vocabulary the CLI uses (design style, workload, link
-width, seed, ...); this module validates it field by field, folds it into
-the **same** frozen :class:`~repro.exec.jobs.JobSpec` the sweep engine
-runs, and addresses it with the **same**
+width, seed, ...); this module checks the body's shape and hands its
+fields to :class:`~repro.exec.request.RunRequest`, which applies the
+rules every front door shares and builds the **same** frozen
+:class:`~repro.exec.jobs.JobSpec` the sweep engine runs, addressed with
+the **same**
 :func:`~repro.exec.jobs.job_digest` the result store keys on.  That
 shared address is what makes the serving tier cheap: a request whose
 digest is already on disk is answered warm, and identical in-flight
@@ -21,21 +23,20 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.exec.jobs import JobSpec, job_digest, normalize_spec, sweep_grid
+from repro.exec.request import (
+    DESIGN_STYLES, LINK_WIDTHS, RequestError, RunRequest, known_workloads,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.obs.result import RunResult
 from repro.params import ArchitectureParams
 from repro.version import package_version
 
-#: The design styles a request may name (shared with the CLI).
-DESIGN_STYLES = ("baseline", "static", "wire", "adaptive", "adaptive+mc",
-                 "mc-only")
-
-#: Mesh link widths the parameter tables model (bytes/cycle).
-LINK_WIDTHS = (16, 8, 4)
-
-
-class RequestError(ValueError):
-    """A syntactically or semantically invalid service request (HTTP 400)."""
+__all__ = [
+    "DESIGN_STYLES", "LINK_WIDTHS", "RequestError", "SIMULATE_FIELDS",
+    "SWEEP_FIELDS", "canonical_digest", "envelope", "error_envelope",
+    "known_workloads", "parse_simulate", "parse_sweep", "request_body",
+    "request_timeout", "result_fields", "spec_fields",
+]
 
 
 def envelope(**fields) -> dict:
@@ -48,105 +49,9 @@ def error_envelope(message: str, **fields) -> dict:
     return envelope(status="error", error=str(message), **fields)
 
 
-def known_workloads() -> tuple[str, ...]:
-    """Every workload name a request may ask for (patterns + applications)."""
-    from repro.traffic import APPLICATIONS, PATTERN_NAMES
-
-    return tuple(PATTERN_NAMES) + tuple(APPLICATIONS)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise RequestError(message)
-
-
-def _opt_int(payload: dict, name: str) -> Optional[int]:
-    value = payload.get(name)
-    if value is None:
-        return None
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{name!r} must be an integer")
-    return value
-
-
-def _faults_extra(value) -> tuple[tuple[str, str], ...]:
-    """Validate a fault-spec string into the spec's ``extra`` field."""
-    if value is None:
-        return ()
-    _require(isinstance(value, str), "'faults' must be a spec string")
-    from repro.faults import as_schedule
-
-    try:
-        schedule = as_schedule(value)
-    except Exception as exc:
-        raise RequestError(f"invalid fault spec {value!r}: {exc}") from exc
-    if schedule is None:
-        return ()
-    return (("faults", schedule.canonical()),)
-
-
-def _topology_extra(value) -> tuple[tuple[str, str], ...]:
-    """Validate a topology request into the spec's ``extra`` field.
-
-    The explicit default-mesh request is dropped — exactly the
-    :func:`~repro.exec.jobs.sweep_grid` convention — so it shares the
-    historical mesh digest instead of forking the cache.
-    """
-    if value is None:
-        return ()
-    _require(isinstance(value, str), "'topology' must be a provider name")
-    from repro.noc.topology import DEFAULT_TOPOLOGY, TOPOLOGIES
-
-    _require(value in TOPOLOGIES,
-             f"unknown topology {value!r}; one of {sorted(TOPOLOGIES)}")
-    if value == DEFAULT_TOPOLOGY:
-        return ()
-    return (("topology", value),)
-
-
-def _control_extra(value) -> tuple[tuple[str, str], ...]:
-    """Validate an ``online`` request field into the spec's ``extra``.
-
-    ``True`` means the default control config; a string is a
-    :class:`~repro.control.loop.ControlConfig` spec.  The canonical form
-    joins the digest, so an online cell never collides with its offline
-    twin.
-    """
-    if value is None or value is False:
-        return ()
-    if value is True:
-        value = ""
-    _require(isinstance(value, str),
-             "'online' must be a boolean or a control spec string")
-    from repro.control.loop import ControlConfig
-
-    try:
-        config = ControlConfig.from_spec(value)
-    except ValueError as exc:
-        raise RequestError(f"invalid control spec {value!r}: {exc}") from exc
-    return (("control", config.canonical()),)
-
-
-def _validate_workload(workload, online: bool) -> None:
-    """A known workload name — or, for online cells, a phased composite."""
-    _require(isinstance(workload, str), "'workload' must be a string")
-    names = known_workloads()
-    if workload in names:
-        return
-    from repro.control.run import PHASED_PREFIX, parse_phased_workload
-
-    if online and workload.startswith(PHASED_PREFIX):
-        try:
-            phases, _ = parse_phased_workload(workload)
-        except ValueError as exc:
-            raise RequestError(str(exc)) from exc
-        for phase in phases:
-            _require(phase in names,
-                     f"unknown workload {phase!r} in {workload!r}")
-        return
-    _require(not workload.startswith(PHASED_PREFIX),
-             "phased workloads require an online (closed-loop) run")
-    raise RequestError(f"unknown workload {workload!r}")
 
 
 #: Fields a simulate request may carry (anything else is rejected).
@@ -156,6 +61,14 @@ SIMULATE_FIELDS = frozenset({
 })
 
 
+def request_body(payload, allowed: frozenset) -> dict:
+    """A request body: a JSON object naming only ``allowed`` fields."""
+    _require(isinstance(payload, dict), "request body must be a JSON object")
+    unknown = set(payload) - allowed
+    _require(not unknown, f"unknown request fields {sorted(unknown)}")
+    return payload
+
+
 def parse_simulate(payload: dict) -> JobSpec:
     """Validate one simulate request body into a :class:`JobSpec`.
 
@@ -163,40 +76,9 @@ def parse_simulate(payload: dict) -> JobSpec:
     wrong types; the spec comes back un-normalized (the scheduler
     normalizes against its own config so equal cells share one digest).
     """
-    _require(isinstance(payload, dict), "request body must be a JSON object")
-    unknown = set(payload) - SIMULATE_FIELDS
-    _require(not unknown, f"unknown request fields {sorted(unknown)}")
-    control = _control_extra(payload.get("online"))
-    design = payload.get("design", "baseline")
-    _require(design in DESIGN_STYLES,
-             f"unknown design {design!r}; one of {list(DESIGN_STYLES)}")
-    if control:
-        from repro.control.run import CONTROL_STYLES
-
-        _require(design in CONTROL_STYLES,
-                 f"online runs accept designs {list(CONTROL_STYLES)}")
-    workload = payload.get("workload", "uniform")
-    _validate_workload(workload, online=bool(control))
-    width = payload.get("width", 16)
-    _require(width in LINK_WIDTHS,
-             f"width must be one of {list(LINK_WIDTHS)} (bytes/cycle)")
-    adaptive = payload.get("adaptive_routing", False)
-    _require(isinstance(adaptive, bool), "'adaptive_routing' must be boolean")
-    access_points = _opt_int(payload, "access_points")
-    _require(access_points is None or access_points > 0,
-             "'access_points' must be positive")
-    return JobSpec(
-        kind="unicast",
-        style=design,
-        link_bytes=width,
-        workload=workload,
-        seed=_opt_int(payload, "seed"),
-        num_access_points=access_points,
-        adaptive_routing=adaptive,
-        extra=tuple(sorted(_faults_extra(payload.get("faults"))
-                           + _topology_extra(payload.get("topology"))
-                           + control)),
-    )
+    fields = dict(request_body(payload, SIMULATE_FIELDS))
+    fields.pop("timeout_s", None)
+    return RunRequest(**fields).spec()
 
 
 #: Fields a sweep request may carry.
@@ -206,7 +88,7 @@ SWEEP_FIELDS = frozenset({
 })
 
 
-def _str_list(payload: dict, name: str, default: list) -> list:
+def _list(payload: dict, name: str, default: list) -> list:
     value = payload.get(name, default)
     _require(isinstance(value, list) and value,
              f"{name!r} must be a non-empty list")
@@ -215,42 +97,17 @@ def _str_list(payload: dict, name: str, default: list) -> list:
 
 def parse_sweep(payload: dict) -> list[JobSpec]:
     """Validate one sweep request body into the grid of specs it names."""
-    _require(isinstance(payload, dict), "request body must be a JSON object")
-    unknown = set(payload) - SWEEP_FIELDS
-    _require(not unknown, f"unknown request fields {sorted(unknown)}")
-    control = _control_extra(payload.get("online"))
-    styles = _str_list(payload, "styles", ["baseline"])
-    for style in styles:
-        _require(style in DESIGN_STYLES, f"unknown design {style!r}")
-        if control:
-            from repro.control.run import CONTROL_STYLES
-
-            _require(style in CONTROL_STYLES,
-                     f"online sweeps accept designs {list(CONTROL_STYLES)}")
-    widths = _str_list(payload, "widths", [16])
-    for width in widths:
-        _require(width in LINK_WIDTHS,
-                 f"width must be one of {list(LINK_WIDTHS)}")
-    workloads = _str_list(payload, "workloads", ["uniform"])
-    for workload in workloads:
-        _validate_workload(workload, online=bool(control))
-    seeds = payload.get("seeds", [None])
-    _require(isinstance(seeds, list) and seeds, "'seeds' must be a list")
-    for seed in seeds:
-        _require(seed is None or (isinstance(seed, int)
-                                  and not isinstance(seed, bool)),
-                 "'seeds' entries must be integers or null")
-    adaptive = payload.get("adaptive_routing", False)
-    _require(isinstance(adaptive, bool), "'adaptive_routing' must be boolean")
-    faults = payload.get("faults")
-    if faults is not None:
-        _faults_extra(faults)      # validate eagerly for a clean 400
-    topology = payload.get("topology")
-    if topology is not None:
-        _topology_extra(topology)  # validate eagerly for a clean 400
-    return sweep_grid(styles, widths, workloads, adaptive_routing=adaptive,
-                      seeds=seeds, faults=faults, topology=topology,
-                      control=control[0][1] if control else None)
+    payload = request_body(payload, SWEEP_FIELDS)
+    return sweep_grid(
+        _list(payload, "styles", ["baseline"]),
+        _list(payload, "widths", [16]),
+        _list(payload, "workloads", ["uniform"]),
+        seeds=_list(payload, "seeds", [None]),
+        adaptive_routing=payload.get("adaptive_routing", False),
+        faults=payload.get("faults"),
+        topology=payload.get("topology"),
+        control=payload.get("online"),
+    )
 
 
 def spec_fields(spec: JobSpec) -> dict:

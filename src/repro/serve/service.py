@@ -47,9 +47,10 @@ from repro.experiments.export import jsonable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTracer
 from repro.params import DEFAULT_PARAMS, ArchitectureParams
+from repro.exec.request import check_access_points, check_online
 from repro.serve.protocol import (
     RequestError, envelope, error_envelope, parse_simulate, parse_sweep,
-    request_timeout, result_fields,
+    request_body, request_timeout, result_fields,
 )
 from repro.serve.scheduler import (
     RequestTimeout, ServiceOverloaded, SimulationScheduler,
@@ -325,13 +326,7 @@ class SimulationService:
         self._count("profile")
         topo, ingest = self._control_state()
         try:
-            if not isinstance(payload, dict):
-                raise RequestError("request body must be a JSON object")
-            unknown = set(payload) - self.PROFILE_FIELDS
-            if unknown:
-                raise RequestError(
-                    f"unknown request fields {sorted(unknown)}")
-            pairs = payload.get("pairs", [])
+            pairs = request_body(payload, self.PROFILE_FIELDS).get("pairs", [])
             if not isinstance(pairs, list):
                 raise RequestError("'pairs' must be a list")
             for row in pairs:
@@ -360,32 +355,17 @@ class SimulationService:
         """
         self._count("control")
         try:
-            if not isinstance(payload, dict):
-                raise RequestError("request body must be a JSON object")
-            unknown = set(payload) - self.CONTROL_FIELDS
-            if unknown:
-                raise RequestError(
-                    f"unknown request fields {sorted(unknown)}")
+            request_body(payload, self.CONTROL_FIELDS)
             from repro.control.compiler import compile_configuration
             from repro.control.decide import ShortcutDecider
             from repro.control.loop import ControlConfig
 
-            online = payload.get("online")
-            if online in (None, True):
-                online = ""
-            if not isinstance(online, str):
-                raise RequestError(
-                    "'online' must be a control spec string")
-            try:
-                control = ControlConfig.from_spec(online)
-            except ValueError as exc:
-                raise RequestError(str(exc)) from exc
+            control = ControlConfig.from_spec(
+                check_online(payload.get("online", True)))
             topo, ingest = self._control_state()
             aps = payload.get("access_points")
-            if aps is None:
-                aps = self.scheduler.config.num_access_points
-            if not isinstance(aps, int) or isinstance(aps, bool) or aps <= 0:
-                raise RequestError("'access_points' must be positive")
+            check_access_points(aps)
+            aps = aps or self.scheduler.config.num_access_points
             raw_current = payload.get("current", [])
             if not isinstance(raw_current, list):
                 raise RequestError("'current' must be a list of [src, dst]")

@@ -310,7 +310,7 @@ class TestApiAndSweep:
     def test_sweep_grid_control_style_restriction(self):
         from repro.exec import sweep_grid
 
-        with pytest.raises(ValueError, match="online sweeps"):
+        with pytest.raises(ValueError, match="online runs"):
             sweep_grid(["wire"], [16], ["uniform"], control="")
 
 
@@ -402,7 +402,7 @@ class TestCampaignAxis:
     def test_mixed_axis_rejects_phased_workloads(self):
         from repro.campaign.spec import CampaignError, spec_from_dict
 
-        with pytest.raises(CampaignError, match="all-online"):
+        with pytest.raises(CampaignError, match="needs an online"):
             spec_from_dict({"name": "bad", "styles": ["adaptive"],
                             "workloads": [WORKLOAD],
                             "control": [None, ""]})

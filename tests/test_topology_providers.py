@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.exec.jobs import JobSpec, job_digest, sweep_grid
+from repro.exec.request import RequestError
 from repro.experiments import FAST_CONFIG, ExperimentRunner
 from repro.experiments.config import DEFAULT_CONFIG
 from repro.noc.routing import RoutingTables, Shortcut
@@ -383,7 +384,7 @@ class TestDigestSemantics:
         assert plain == explicit
         torus = sweep_grid(["static"], [16], ["uniform"], topology="torus")
         assert dict(torus[0].extra)["topology"] == "torus"
-        with pytest.raises(KeyError, match="hypercube"):
+        with pytest.raises(RequestError, match="hypercube"):
             sweep_grid(["static"], [16], ["uniform"], topology="hypercube")
 
 
