@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.exec.engine import ProgressFn, SweepReport, prepare_spec, run_sweep
 from repro.exec.jobs import sweep_grid
-from repro.exec.request import RequestError, RunRequest
+from repro.exec.request import RequestError, RunRequest, check_placement
 from repro.exec.store import ResultStore
 from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
@@ -136,6 +136,7 @@ def simulate(
     runner = ExperimentRunner(
         resolved_config, params, store=_resolve_store(store)
     )
+    check_placement(request.spec(), runner.params)
     if observation is None and not closed_loop and (metrics or trace_events):
         tracer = None
         if trace_events:

@@ -62,7 +62,7 @@ from repro.experiments import (
 from repro.params import DEFAULT_PARAMS
 from repro.exec.request import (
     DESIGN_STYLES, LINK_WIDTHS, RequestError, RunRequest, check_online,
-    check_topology,
+    check_placement, check_topology,
 )
 from repro.version import package_version
 
@@ -454,12 +454,13 @@ def cmd_control(args) -> int:
     from repro.exec import ResultStore
     from repro.experiments.export import jsonable
 
-    RunRequest(design=args.design, workload=args.workload, width=args.width,
-               seed=args.seed, access_points=args.access_points,
-               faults=args.faults, topology=args.topology,
-               online=args.control or True)
+    request = RunRequest(
+        design=args.design, workload=args.workload, width=args.width,
+        seed=args.seed, access_points=args.access_points,
+        faults=args.faults, topology=args.topology, online=args.control or True)
     store = None if args.no_cache else ResultStore(args.cache)
     runner = ExperimentRunner(_config_for(args), store=store)
+    check_placement(request.spec(), runner.params)
     run = run_closed_loop(
         runner, args.workload, style=args.design, width=args.width,
         seed=args.seed, access_points=args.access_points,

@@ -11,9 +11,10 @@ substrate instead of fattening a single channel.  Three layers (see
   for one cell lands on the same worker, whose scheduler coalesces it.
   When a shard drains or dies its keys remap to ring successors; every
   other key stays put.
-* :mod:`repro.cluster.router` — the asyncio HTTP front door.  It
-  consistent-hashes ``/v1/simulate`` bodies onto shards and proxies
-  over pooled keep-alive connections, fans ``/v1/sweep`` grids out
+* :mod:`repro.cluster.router` — the front door, served by the worker's
+  own :class:`~repro.serve.http.ServeServer`.  It consistent-hashes
+  ``/v1/simulate`` bodies onto shards and proxies over pooled
+  keep-alive connections, fans ``/v1/sweep`` grids out
   cell-by-cell to each cell's owner (streaming NDJSON progress exactly
   like a worker), aggregates ``/healthz`` and ``/metrics`` across
   shards, serves a ``/cluster`` status endpoint, and answers
@@ -40,7 +41,7 @@ Or from the shell: ``repro serve --workers 4``.
 
 from repro.cluster.ring import HashRing
 from repro.cluster.router import (
-    ClusterRouter, RouterThread, Shard, ShardProxyError, SHARD_STATES,
+    ClusterRouter, Shard, ShardProxyError, SHARD_STATES,
 )
 from repro.cluster.supervisor import Cluster, WorkerSupervisor, WorkerHandle
 
@@ -48,7 +49,6 @@ __all__ = [
     "Cluster",
     "ClusterRouter",
     "HashRing",
-    "RouterThread",
     "SHARD_STATES",
     "Shard",
     "ShardProxyError",

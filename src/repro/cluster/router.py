@@ -36,19 +36,19 @@ from __future__ import annotations
 
 import asyncio
 import json
-import secrets
 import time
 from typing import AsyncIterator, Callable, Iterable, Optional, Union
 
 from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.exec.request import check_placement
 from repro.params import DEFAULT_PARAMS, ArchitectureParams
-from repro.serve.http import ServeServer, ServerThread, _encode_response
 from repro.serve.protocol import (
     RequestError, canonical_digest, envelope, error_envelope, parse_simulate,
     parse_sweep, spec_fields,
 )
-from repro.serve.service import SweepJob
+from repro.serve.scheduler import ServiceOverloaded
+from repro.serve.service import SweepJobs
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 
 #: Shard lifecycle states the router routes by: ``up`` takes new keys,
@@ -61,6 +61,9 @@ STATE_CODES = {"up": 2, "draining": 1, "down": 0}
 
 #: ``Retry-After`` seconds when no shard can take a key.
 UNROUTABLE_RETRY_S = 2
+
+#: Sweep summary tallies: settled sources, plus cells per shard.
+SHARD_TALLY = {"sources": "source", "shards": "shard"}
 
 
 class ShardProxyError(Exception):
@@ -197,13 +200,24 @@ ShardSpec = Union["Shard", tuple[str, str, int]]
 
 
 class ClusterRouter:
-    """Socket-free core of the front door (hosted by :class:`RouterServer`).
+    """Socket-free core of the front door, served by
+    :class:`~repro.serve.http.ServeServer` like a worker.
 
     ``shards`` may be :class:`Shard` objects, ``(shard_id, host, port)``
     tuples, or a ``{shard_id: port}`` mapping on localhost.  The router
     must be built with the *same* config family as its workers (``fast``
     or explicit ``config``) so its digests match theirs.
     """
+
+    #: ``(method, path) -> (handler, reads a JSON body)``: the worker's
+    #: cell and sweep routes, aggregated health/metrics, and ``/cluster``.
+    ROUTES = {
+        ("POST", "/v1/simulate"): ("simulate", True),
+        ("POST", "/v1/sweep"): ("sweep", True),
+        ("GET", "/healthz"): ("health", False),
+        ("GET", "/metrics"): ("metrics", False),
+        ("GET", "/cluster"): ("cluster_status", False),
+    }
 
     def __init__(
         self,
@@ -225,8 +239,7 @@ class ClusterRouter:
         for shard in self._coerce(shards):
             self.shards[shard.shard_id] = shard
         self.ring = HashRing(self.shards, vnodes=vnodes, seed=ring_seed)
-        self.jobs: dict[str, SweepJob] = {}
-        self._job_seq = 0
+        self.jobs = SweepJobs("cjob")
         self._start_monotonic = time.monotonic()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Optional supervisor hook: a callable returning a JSON-safe
@@ -249,9 +262,7 @@ class ClusterRouter:
         self._loop = asyncio.get_running_loop()
 
     async def stop(self) -> None:
-        for job in self.jobs.values():
-            if job.task is not None and not job.task.done():
-                job.task.cancel()
+        self.jobs.cancel()
         for shard in self.shards.values():
             shard.close_pool()
 
@@ -301,6 +312,7 @@ class ClusterRouter:
         """Proxy one cell to its shard; same contract as the service."""
         try:
             spec = parse_simulate(payload)
+            check_placement(spec, self.params)
         except RequestError as exc:
             self.registry.counter("cluster_rejected").inc()
             return 400, error_envelope(str(exc)), {}
@@ -354,116 +366,38 @@ class ClusterRouter:
             return 400, error_envelope(str(exc)), {}
         digests = [canonical_digest(s, self.config, self.params)[1]
                    for s in specs]
-        self._job_seq += 1
-        job_id = f"cjob-{self._job_seq:04d}-{secrets.token_hex(4)}"
-        job = SweepJob(job_id=job_id, specs=specs)
-        self.jobs[job_id] = job
-        job.task = asyncio.create_task(
-            self._run_sweep_job(job, digests), name=f"cluster-{job_id}")
-        return 202, envelope(status="accepted", job_id=job_id,
+        job = self.jobs.start(
+            specs, lambda i, spec: self._settle_cell(i, spec, digests[i]),
+            max(2, 2 * len(self.shards)), SHARD_TALLY)
+        return 202, envelope(status="accepted", job_id=job.job_id,
                              cells=len(specs),
                              spread=self.ring.spread(digests)), {}
 
-    async def _job_event(self, job: SweepJob, event: dict) -> None:
-        async with job.cond:
-            job.events.append(event)
-            job.cond.notify_all()
-
-    async def _finish_job(self, job: SweepJob, status: str,
-                          summary: dict) -> None:
-        async with job.cond:
-            job.status = status
-            job.summary = summary
-            job.events.append(
-                {"event": "complete", "status": status, "summary": summary}
-            )
-            job.cond.notify_all()
-
-    async def _run_one_cell(self, job: SweepJob, index: int, digest: str,
-                            fields: dict, sem: asyncio.Semaphore,
-                            tally: dict, shard_tally: dict) -> None:
-        async with sem:
-            while True:
-                status, out, _ = await self._proxy_cell(fields, digest)
-                if status in (429, 503):
-                    # The owner is shedding (or momentarily unroutable):
-                    # batch cells wait and re-offer, they never drop.
-                    hint = out.get("retry_after_s", UNROUTABLE_RETRY_S)
-                    await self._job_event(job, {
-                        "event": "backoff", "index": index,
-                        "retry_after_s": hint,
-                    })
-                    await asyncio.sleep(min(hint, 5))
-                    continue
-                if status != 200:
-                    raise RuntimeError(
-                        f"cell {index} failed on shard "
-                        f"{out.get('shard', '?')}: "
-                        f"{out.get('error', status)}")
-                break
-            source = out.get("source", "computed")
-            tally[source] = tally.get(source, 0) + 1
-            shard = out.get("shard", "?")
-            shard_tally[shard] = shard_tally.get(shard, 0) + 1
-            await self._job_event(job, {
-                "event": "hit" if source == "store" else "done",
-                "index": index,
-                "source": source,
-                "shard": shard,
-                "digest": out.get("digest", digest),
-                "wall_s": out.get("wall_s"),
-                "result": out.get("result"),
-            })
-
-    async def _run_sweep_job(self, job: SweepJob,
-                             digests: list[str]) -> None:
-        sem = asyncio.Semaphore(max(2, 2 * len(self.shards)))
-        tally: dict[str, int] = {}
-        shard_tally: dict[str, int] = {}
-        start = time.perf_counter()
-        try:
-            await asyncio.gather(*(
-                self._run_one_cell(job, i, digests[i],
-                                   spec_fields(spec), sem, tally,
-                                   shard_tally)
-                for i, spec in enumerate(job.specs)
-            ))
-        except asyncio.CancelledError:
-            await self._finish_job(job, "failed", {"error": "cancelled"})
-            raise
-        except Exception as exc:
-            await self._finish_job(job, "failed", {"error": str(exc)})
-            return
-        await self._finish_job(job, "done", {
-            "cells": len(job.specs),
-            "wall_s": time.perf_counter() - start,
-            "sources": dict(sorted(tally.items())),
-            "shards": dict(sorted(shard_tally.items())),
-        })
+    async def _settle_cell(self, index: int, spec, digest: str) -> dict:
+        status, out, _ = await self._proxy_cell(spec_fields(spec), digest)
+        if status in (429, 503):
+            # The owner is shedding (or momentarily unroutable): the job
+            # engine backs the cell off and re-offers it.
+            raise ServiceOverloaded(
+                out.get("retry_after_s", UNROUTABLE_RETRY_S))
+        if status != 200:
+            raise RuntimeError(
+                f"cell {index} failed on shard {out.get('shard', '?')}: "
+                f"{out.get('error', status)}")
+        return {
+            "source": out.get("source", "computed"),
+            "shard": out.get("shard", "?"),
+            "digest": out.get("digest", digest),
+            "wall_s": out.get("wall_s"),
+            "result": out.get("result"),
+        }
 
     async def stream_job(
         self, job_id: str,
     ) -> Optional[AsyncIterator[dict]]:
         """Async iterator over a router job's events (None if unknown)."""
         job = self.jobs.get(job_id)
-        if job is None:
-            return None
-
-        async def _events() -> AsyncIterator[dict]:
-            index = 0
-            while True:
-                async with job.cond:
-                    while index >= len(job.events) and job.status == "running":
-                        await job.cond.wait()
-                    fresh = job.events[index:]
-                    index = len(job.events)
-                    finished = job.status != "running"
-                for event in fresh:
-                    yield event
-                if finished and index >= len(job.events):
-                    return
-
-        return _events()
+        return job.stream() if job is not None else None
 
     # -- aggregation --------------------------------------------------------
 
@@ -498,9 +432,7 @@ class ClusterRouter:
                     for sid in states},
             counts={state: sum(1 for s in states.values() if s == state)
                     for state in SHARD_STATES},
-            jobs={status_: sum(1 for j in self.jobs.values()
-                               if j.status == status_)
-                  for status_ in ("running", "done", "failed")},
+            jobs=self.jobs.counts(),
         )
 
     async def metrics(self) -> dict:
@@ -578,59 +510,3 @@ class ClusterRouter:
         if self.status_extra is not None:
             status["supervisor"] = self.status_extra()
         return status
-
-
-class RouterServer(ServeServer):
-    """The router's HTTP face — same wire protocol as a worker."""
-
-    def __init__(self, router: ClusterRouter, host: str = "127.0.0.1",
-                 port: int = 8031):
-        super().__init__(router, host, port)  # type: ignore[arg-type]
-        self.router = router
-
-    async def _dispatch(self, method: str, path: str, body: bytes,
-                        writer: asyncio.StreamWriter,
-                        keep_alive: bool = False) -> bool:
-        def respond(status: int, payload: dict,
-                    extra: Optional[dict] = None) -> None:
-            writer.write(_encode_response(status, payload, extra,
-                                          keep_alive=keep_alive))
-
-        if path.startswith("/v1/jobs/") and method == "GET":
-            await self._stream_job(path[len("/v1/jobs/"):], writer)
-            return True
-        if method == "POST" and path in ("/v1/simulate", "/v1/sweep"):
-            try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                respond(400, error_envelope("request body is not valid JSON"))
-                await writer.drain()
-                return False
-            handler = (self.router.simulate if path == "/v1/simulate"
-                       else self.router.sweep)
-            status, envelope_, extra = await handler(payload)
-            respond(status, envelope_, extra)
-        elif method == "GET" and path == "/healthz":
-            respond(200, await self.router.health())
-        elif method == "GET" and path == "/metrics":
-            respond(200, await self.router.metrics())
-        elif method == "GET" and path == "/cluster":
-            respond(200, await self.router.cluster_status())
-        elif path in ("/v1/simulate", "/v1/sweep", "/healthz", "/metrics",
-                      "/cluster"):
-            respond(405, error_envelope(f"{method} not allowed on {path}"))
-        else:
-            respond(404, error_envelope(f"no route for {method} {path}"))
-        await writer.drain()
-        return False
-
-
-class RouterThread(ServerThread):
-    """A live router on an ephemeral port, hosted in a daemon thread."""
-
-    server_class = RouterServer
-
-    def __init__(self, router: ClusterRouter, host: str = "127.0.0.1",
-                 port: int = 0):
-        super().__init__(router, host, port)  # type: ignore[arg-type]
-        self.router = router

@@ -51,7 +51,7 @@ from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConf
 from repro.serve.http import ServerThread
 from repro.serve.service import SimulationService
 from repro.cluster.ring import DEFAULT_VNODES
-from repro.cluster.router import ClusterRouter, RouterThread, Shard
+from repro.cluster.router import ClusterRouter, Shard
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -353,7 +353,7 @@ class Cluster:
         self.workers: list[WorkerHandle] = []
         self.supervisor: Optional[WorkerSupervisor] = None
         self.router: Optional[ClusterRouter] = None
-        self.router_thread: Optional[RouterThread] = None
+        self.router_thread: Optional[ServerThread] = None
 
     # -- worker construction ------------------------------------------------
 
@@ -433,7 +433,7 @@ class Cluster:
             proxy_timeout_s=self.proxy_timeout_s,
         )
         self.supervisor.attach(self.router)
-        self.router_thread = RouterThread(self.router, host=self.host,
+        self.router_thread = ServerThread(self.router, host=self.host,
                                           port=self.router_port)
         self.router_port = self.router_thread.start()
         if supervise:

@@ -28,7 +28,9 @@ from repro.control.loop import ControlConfig, ControlLoop
 from repro.core.architectures import DesignPoint, baseline
 from repro.core.overlay import RFIOverlay
 from repro.core.reconfig import ReconfigurationController
-from repro.experiments.runner import ExperimentRunner, PreparedRun, RunResult
+from repro.experiments.runner import (
+    ExperimentRunner, PreparedRun, RunResult, place_access_points,
+)
 from repro.noc.routing import RoutingTables
 from repro.noc.simulator import Simulator
 from repro.traffic import PhasedSource
@@ -106,7 +108,7 @@ def build_control_cell(
     seed = runner.config.traffic_seed if spec.seed is None else spec.seed
     base = baseline(spec.link_bytes, runner.params, topo)
     overlay = RFIOverlay(
-        topo, topo.rf_enabled_routers(aps), base.params.rfi, adaptive=True,
+        topo, place_access_points(topo, aps), base.params.rfi, adaptive=True,
     )
     controller = ReconfigurationController(
         topo, overlay, budget=control.budget,

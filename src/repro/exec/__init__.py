@@ -26,8 +26,8 @@ Quick start::
 """
 
 from repro.exec.engine import (
-    BATCH_SLICE_CYCLES, JobExecutor, JobOutcome, SweepReport, execute_spec,
-    prepare_spec, run_sweep,
+    BATCH_SLICE_CYCLES, JobExecutor, JobOutcome, SweepReport, prepare_spec,
+    run_sweep,
 )
 from repro.exec.jobs import JobSpec, job_digest, normalize_spec, sweep_grid
 from repro.exec.request import RequestError, RunRequest
@@ -51,7 +51,6 @@ __all__ = [
     "decode_stats",
     "encode_result",
     "encode_stats",
-    "execute_spec",
     "job_digest",
     "normalize_spec",
     "prepare_spec",

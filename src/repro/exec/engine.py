@@ -149,17 +149,6 @@ def prepare_spec(
     )
 
 
-def execute_spec(
-    runner: "ExperimentRunner",
-    spec: JobSpec,
-    observation=None,
-    stage_profile=None,
-) -> "RunResult":
-    """Run one spec on a runner: :func:`prepare_spec` driven to completion
-    (the runner consults its own store, if any)."""
-    return prepare_spec(runner, spec, observation, stage_profile).run()
-
-
 _WORKER_RUNNER: Optional["ExperimentRunner"] = None
 
 
@@ -198,8 +187,7 @@ def _run_job(
     sp = StageProfile() if stage_profile else None
     start = time.perf_counter()
     with prof.phase("simulate"):
-        result = execute_spec(_WORKER_RUNNER, spec, observation,
-                              stage_profile=sp)
+        result = prepare_spec(_WORKER_RUNNER, spec, observation, sp).run()
     with prof.phase("encode"):
         payload = encode_result(result)
     if observation is not None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.exec.jobs import PROFILED_STYLES, JobSpec
+from repro.params import ArchitectureParams
 
 #: The design styles a request may name.
 DESIGN_STYLES = ("baseline", "static", "wire", "adaptive", "adaptive+mc",
@@ -198,6 +199,29 @@ def unicast_spec(
         design_workload=workload if design in PROFILED_STYLES else None,
         extra=extra,
     )
+
+
+def check_placement(spec: JobSpec, params: ArchitectureParams) -> None:
+    """The cell's design can place its access points where it will run.
+
+    The topology is the one the cell resolves to under ``params`` — its
+    own ``topology`` extra, else ``params.mesh.provider`` — so a server
+    started on another substrate checks against that substrate.  A cell
+    without a count runs the config default and is not checked here.
+    Every door runs this with its own params before anything is built.
+    """
+    if spec.num_access_points is None:
+        return
+    from repro.experiments.runner import design_access_points
+    from repro.noc.topology import build_topology
+
+    extra = dict(spec.extra)
+    topo = build_topology(params.mesh, extra.get("topology"))
+    try:
+        design_access_points(topo, spec.style, spec.num_access_points,
+                             online="control" in extra)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,47 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ExperimentRunner", "PreparedRun", "RunResult"]
 
+#: Offline design styles whose overlay places RF-I access points; every
+#: online (closed-loop) cell places them too.
+PLACING_STYLES = ("adaptive", "adaptive+mc", "mc-only")
+
+
+def place_access_points(topo: TopologyProvider, count: int) -> list[int]:
+    """``topo``'s staggered placement of ``count`` RF-I access points."""
+    try:
+        return topo.rf_enabled_routers(count)
+    except ValueError as exc:
+        raise ValueError(f"access_points={count} cannot be placed on the "
+                         f"{topo.name}: {exc}") from exc
+
+
+def _mc_only_transmitter(topo: TopologyProvider) -> int:
+    """mc-only's multicast transmitter: cluster 0's central cache bank."""
+    return topo.central_bank(0)
+
+
+def design_access_points(
+    topo: TopologyProvider, style: str, count: int, online: bool = False,
+) -> Optional[list[int]]:
+    """The access points a ``style`` design places on ``topo``.
+
+    None for the offline styles that place none, which ignore the count.
+    Raises :class:`ValueError` for a count that cannot be placed or, for
+    mc-only, that misses its multicast transmitter.
+    """
+    if not (online or style in PLACING_STYLES):
+        return None
+    placed = place_access_points(topo, count)
+    if style == "mc-only":
+        transmitter = _mc_only_transmitter(topo)
+        if transmitter not in placed:
+            raise ValueError(
+                f"design 'mc-only' needs its multicast transmitter (router "
+                f"{transmitter}) among the access points; "
+                f"access_points={count} does not place it on the "
+                f"{topo.name}")
+    return placed
+
 
 @dataclasses.dataclass
 class PreparedRun:
@@ -232,6 +273,7 @@ class ExperimentRunner:
         key = (style, link_bytes, workload, aps, adaptive_routing, topo.name)
         if key in self._designs:
             return self._designs[key]
+        placed = design_access_points(topo, style, aps)
         if style == "baseline":
             point = baseline(link_bytes, self.params, topo)
         elif style == "static":
@@ -250,7 +292,7 @@ class ExperimentRunner:
                 self.params, topo,
             )
         elif style == "mc-only":
-            point = self._mc_only_design(link_bytes, aps, topo)
+            point = self._mc_only_design(link_bytes, placed, topo)
         else:
             raise ValueError(f"unknown design style {style!r}")
         self._designs[key] = point
@@ -277,17 +319,16 @@ class ExperimentRunner:
     def _mc_only_design(
         self,
         link_bytes: int,
-        aps: int,
+        access_points: list[int],
         topology: Optional[TopologyProvider] = None,
     ) -> DesignPoint:
         """Baseline mesh + the multicast band on every access-point Rx."""
         topo = topology or self.topology
         point = baseline(link_bytes, self.params, topo)
         overlay = RFIOverlay(
-            topo, topo.rf_enabled_routers(aps),
-            point.params.rfi, adaptive=True,
+            topo, access_points, point.params.rfi, adaptive=True,
         )
-        overlay.configure_multicast(topo.central_bank(0))
+        overlay.configure_multicast(_mc_only_transmitter(topo))
         return dataclasses.replace(
             point, name=f"mc-only-{link_bytes}B", overlay=overlay
         )

@@ -22,14 +22,19 @@ Routes (see ``docs/serving.md`` for schemas)::
     GET  /healthz         liveness + queue/inflight/job gauges + identity
     GET  /metrics         metrics registry + request reconciliation
 
+:class:`ServeServer` serves any backend that declares a ``ROUTES``
+table: the worker's :class:`SimulationService` (the routes above), or
+the cluster's :class:`~repro.cluster.router.ClusterRouter` (simulate,
+sweep, the job stream, ``/healthz``, ``/metrics`` and ``GET /cluster``).
 :class:`ServerThread` runs the whole loop in a daemon thread — the
-harness tests, the closed-loop benchmark, and the CI smoke job all use
-it to host a real server on an ephemeral port.
+harness tests, the closed-loop benchmark, the CI smoke job and the
+cluster's router all use it to host a real server on an ephemeral port.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import threading
 from typing import Optional
@@ -108,7 +113,16 @@ def keep_alive_requested(version: str, headers: dict) -> bool:
 
 
 class ServeServer:
-    """One listening socket dispatching into a :class:`SimulationService`."""
+    """One listening socket dispatching into a backend's route table.
+
+    The backend — a :class:`SimulationService` worker or a
+    :class:`~repro.cluster.router.ClusterRouter` — declares ``ROUTES``,
+    ``(method, path) -> (handler name, reads a JSON body)``; a handler
+    returns ``(status, envelope, extra headers)`` or a 200 envelope,
+    directly or as a coroutine.  ``GET /v1/jobs/<id>`` streams the
+    backend's ``stream_job``.  A bad JSON body is a 400, a known path
+    with the wrong method a 405, anything else a 404.
+    """
 
     def __init__(self, service: SimulationService,
                  host: str = "127.0.0.1", port: int = 8032):
@@ -116,6 +130,9 @@ class ServeServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
+        self._routes = {key: (getattr(service, name), reads_body)
+                        for key, (name, reads_body) in service.ROUTES.items()}
+        self._paths = {path for _, path in self._routes}
 
     async def start(self) -> None:
         """Start the service and bind the socket (port 0 -> ephemeral)."""
@@ -182,47 +199,37 @@ class ServeServer:
                         writer: asyncio.StreamWriter,
                         keep_alive: bool = False) -> bool:
         """Route one request; True when the response was close-delimited."""
-        def respond(status: int, payload: dict,
-                    extra: Optional[dict] = None) -> None:
-            writer.write(_encode_response(status, payload, extra,
-                                          keep_alive=keep_alive))
-
         if path.startswith("/v1/jobs/") and method == "GET":
             await self._stream_job(path[len("/v1/jobs/"):], writer)
             return True
-        if method == "POST" and path in ("/v1/simulate", "/v1/sweep",
-                                         "/v1/profile", "/v1/control"):
+        status, payload, extra = await self._route(method, path, body)
+        writer.write(_encode_response(status, payload, extra,
+                                      keep_alive=keep_alive))
+        await writer.drain()
+        return False
+
+    async def _route(self, method: str, path: str,
+                     body: bytes) -> tuple[int, dict, dict]:
+        """(status, envelope, extra headers) from the backend's table."""
+        route = self._routes.get((method, path))
+        if route is None:
+            if path in self._paths:
+                return 405, error_envelope(
+                    f"{method} not allowed on {path}"), {}
+            return 404, error_envelope(f"no route for {method} {path}"), {}
+        handler, reads_body = route
+        if reads_body:
             try:
                 payload = json.loads(body.decode("utf-8")) if body else {}
             except (json.JSONDecodeError, UnicodeDecodeError):
-                respond(400, error_envelope("request body is not valid JSON"))
-                await writer.drain()
-                return False
-            if path == "/v1/simulate":
-                status, envelope_, extra = await self.service.simulate(payload)
-            elif path == "/v1/sweep":
-                status, envelope_, extra = await self.service.sweep(payload)
-            elif path == "/v1/profile":
-                status, envelope_, extra = self.service.profile(payload)
-            else:
-                status, envelope_, extra = self.service.control(payload)
-            respond(status, envelope_, extra)
-        elif method == "POST" and path == "/v1/drain":
-            respond(200, self.service.drain())
-        elif method == "GET" and path == "/healthz":
-            respond(200, self.service.health())
-        elif method == "GET" and path == "/metrics":
-            respond(200, self.service.metrics())
-        elif method == "GET" and path == "/v1/trace":
-            respond(200, self.service.trace())
-        elif path in ("/v1/simulate", "/v1/sweep", "/v1/profile",
-                      "/v1/control", "/v1/drain", "/healthz", "/metrics",
-                      "/v1/trace"):
-            respond(405, error_envelope(f"{method} not allowed on {path}"))
+                return 400, error_envelope(
+                    "request body is not valid JSON"), {}
+            out = handler(payload)
         else:
-            respond(404, error_envelope(f"no route for {method} {path}"))
-        await writer.drain()
-        return False
+            out = handler()
+        if inspect.isawaitable(out):
+            out = await out
+        return out if isinstance(out, tuple) else (200, out, {})
 
     async def _stream_job(self, job_id: str,
                           writer: asyncio.StreamWriter) -> None:
@@ -274,17 +281,14 @@ class ServerThread:
     """A real server on an ephemeral port, hosted in a daemon thread.
 
     The test suite, the closed-loop benchmark, and the CI smoke job all
-    share this helper::
+    share this helper; the cluster hosts its router the same way
+    (``ServerThread(router)``)::
 
         thread = ServerThread(SimulationService(fast=True, store=store))
         port = thread.start()
         ... requests against 127.0.0.1:port ...
         thread.stop()
     """
-
-    #: The server class hosted in the thread; the cluster router's
-    #: :class:`~repro.cluster.router.RouterThread` overrides this.
-    server_class = ServeServer
 
     def __init__(self, service: SimulationService,
                  host: str = "127.0.0.1", port: int = 0):
@@ -324,7 +328,7 @@ class ServerThread:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        server = self.server_class(self.service, self.host, self.port)
+        server = ServeServer(self.service, self.host, self.port)
         try:
             await server.start()
         except BaseException as exc:

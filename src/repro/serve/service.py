@@ -38,7 +38,7 @@ import itertools
 import secrets
 import time
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Optional
+from typing import AsyncIterator, Awaitable, Callable, Optional
 
 from repro.exec.jobs import JobSpec
 from repro.exec.store import ResultStore
@@ -47,7 +47,8 @@ from repro.experiments.export import jsonable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTracer
 from repro.params import DEFAULT_PARAMS, ArchitectureParams
-from repro.exec.request import check_access_points, check_online
+from repro.exec.request import check_access_points, check_online, check_placement
+from repro.experiments.runner import place_access_points
 from repro.serve.protocol import (
     RequestError, envelope, error_envelope, parse_simulate, parse_sweep,
     request_body, request_timeout, result_fields,
@@ -60,9 +61,25 @@ from repro.serve.scheduler import (
 SETTLE_SOURCES = ("store", "coalesced", "computed", "shed", "timeout", "error")
 
 
+#: Summary field -> the settled-cell event field it tallies.
+SOURCE_TALLY = {"sources": "source"}
+
+#: A tier's "settle one cell" coroutine: ``settle(index, spec)`` returns
+#: the settled cell's event fields, or raises :class:`ServiceOverloaded`
+#: while the tier cannot take the cell.
+CellSettler = Callable[[int, JobSpec], Awaitable[dict]]
+
+
 @dataclass
 class SweepJob:
-    """One background sweep: its cells, progress events, and outcome."""
+    """One background sweep: its cells, progress events, and outcome.
+
+    This is the sweep-job engine both serving tiers run: a tier supplies
+    only its *settle one cell* coroutine (the worker's scheduler, the
+    router's shard proxy) to :meth:`run`; the job owns the event log,
+    the backoff that keeps shed cells from dropping, the terminal
+    ``complete`` event and the :meth:`stream` of events.
+    """
 
     job_id: str
     specs: list[JobSpec]
@@ -72,9 +89,134 @@ class SweepJob:
     cond: asyncio.Condition = field(default_factory=asyncio.Condition)
     task: Optional[asyncio.Task] = None
 
+    async def emit(self, event: dict) -> None:
+        async with self.cond:
+            self.events.append(event)
+            self.cond.notify_all()
+
+    async def finish(self, status: str, summary: dict) -> None:
+        async with self.cond:
+            self.status = status
+            self.summary = summary
+            self.events.append(
+                {"event": "complete", "status": status, "summary": summary}
+            )
+            self.cond.notify_all()
+
+    async def run(self, settle: CellSettler, concurrency: int,
+                  tallies: dict[str, str] = SOURCE_TALLY) -> None:
+        """Settle every cell, at most ``concurrency`` at a time.
+
+        A cell the tier sheds backs off and is re-offered — an accepted
+        job never drops a cell.  The job ends ``done`` with a summary that
+        counts each of ``tallies``, ``failed`` with the first error, or
+        ``failed``/``cancelled`` when its task is cancelled.
+        """
+        sem = asyncio.Semaphore(concurrency)
+        counts: dict[str, dict] = {name: {} for name in tallies}
+        start = time.perf_counter()
+
+        async def one(index: int, spec: JobSpec) -> None:
+            async with sem:
+                while True:
+                    try:
+                        fields = await settle(index, spec)
+                        break
+                    except ServiceOverloaded as exc:
+                        # Batch cells defer to interactive load instead of
+                        # failing: back off and re-offer the cell.
+                        await self.emit({
+                            "event": "backoff", "index": index,
+                            "retry_after_s": exc.retry_after_s,
+                        })
+                        await asyncio.sleep(min(exc.retry_after_s, 5))
+                for name, key in tallies.items():
+                    counts[name][fields[key]] = (
+                        counts[name].get(fields[key], 0) + 1)
+                await self.emit({
+                    "event": "hit" if fields["source"] == "store" else "done",
+                    "index": index, **fields,
+                })
+
+        try:
+            await asyncio.gather(*(one(i, spec)
+                                   for i, spec in enumerate(self.specs)))
+        except asyncio.CancelledError:
+            await self.finish("failed", {"error": "cancelled"})
+            raise
+        except Exception as exc:
+            await self.finish("failed", {"error": str(exc)})
+            return
+        await self.finish("done", {
+            "cells": len(self.specs),
+            "wall_s": time.perf_counter() - start,
+            **{name: dict(sorted(tally.items()))
+               for name, tally in counts.items()},
+        })
+
+    async def stream(self) -> AsyncIterator[dict]:
+        """Every event so far, then each new one, until ``complete``."""
+        index = 0
+        while True:
+            async with self.cond:
+                while index >= len(self.events) and self.status == "running":
+                    await self.cond.wait()
+                fresh = self.events[index:]
+                index = len(self.events)
+                finished = self.status != "running"
+            for event in fresh:
+                yield event
+            if finished and index >= len(self.events):
+                return
+
+
+class SweepJobs(dict):
+    """A tier's sweep jobs by id; ids are ``<prefix>-<seq>-<random>``."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+        self._seq = itertools.count(1)
+
+    def start(self, specs: list[JobSpec], settle: CellSettler,
+              concurrency: int,
+              tallies: dict[str, str] = SOURCE_TALLY) -> SweepJob:
+        """Register a job and start running it in the background."""
+        job_id = (f"{self.prefix}-{next(self._seq):04d}-"
+                  f"{secrets.token_hex(4)}")
+        job = SweepJob(job_id=job_id, specs=specs)
+        self[job_id] = job
+        job.task = asyncio.create_task(
+            job.run(settle, concurrency, tallies), name=f"sweep-{job_id}")
+        return job
+
+    def cancel(self) -> None:
+        for job in self.values():
+            if job.task is not None and not job.task.done():
+                job.task.cancel()
+
+    def counts(self) -> dict[str, int]:
+        """Jobs per status (the ``/healthz`` ``jobs`` gauge)."""
+        return {status: sum(1 for job in self.values()
+                            if job.status == status)
+                for status in ("running", "done", "failed")}
+
 
 class SimulationService:
     """Socket-free core of the serving tier (see :mod:`repro.serve.http`)."""
+
+    #: ``(method, path) -> (handler, reads a JSON body)``: the HTTP routes
+    #: :class:`~repro.serve.http.ServeServer` dispatches into.
+    ROUTES = {
+        ("POST", "/v1/simulate"): ("simulate", True),
+        ("POST", "/v1/sweep"): ("sweep", True),
+        ("POST", "/v1/profile"): ("profile", True),
+        ("POST", "/v1/control"): ("control", True),
+        ("POST", "/v1/drain"): ("drain", False),
+        ("GET", "/healthz"): ("health", False),
+        ("GET", "/metrics"): ("metrics", False),
+        ("GET", "/v1/trace"): ("trace", False),
+    }
 
     def __init__(
         self,
@@ -99,8 +241,7 @@ class SimulationService:
         )
         self.registry = self.scheduler.registry
         self.tracer = tracer if tracer is not None else EventTracer(4096)
-        self.jobs: dict[str, SweepJob] = {}
-        self._job_seq = itertools.count(1)
+        self.jobs = SweepJobs("job")
         self._start_monotonic = time.monotonic()
         #: Stable worker identity: a cluster supervisor names its shards
         #: (``shard-0``, ``shard-1``, ...); a standalone service is ``solo``.
@@ -120,9 +261,7 @@ class SimulationService:
         await self.scheduler.start()
 
     async def stop(self) -> None:
-        for job in self.jobs.values():
-            if job.task is not None and not job.task.done():
-                job.task.cancel()
+        self.jobs.cancel()
         await self.scheduler.stop()
 
     # -- shared accounting --------------------------------------------------
@@ -148,6 +287,7 @@ class SimulationService:
         start = time.perf_counter()
         try:
             spec = parse_simulate(payload)
+            check_placement(spec, self.scheduler.params)
             timeout_s = request_timeout(payload, self.scheduler.max_timeout_s)
         except RequestError as exc:
             return self._reject("simulate", exc)
@@ -187,77 +327,21 @@ class SimulationService:
             specs = parse_sweep(payload)
         except RequestError as exc:
             return self._reject("sweep", exc)
-        job_id = f"job-{next(self._job_seq):04d}-{secrets.token_hex(4)}"
-        job = SweepJob(job_id=job_id, specs=specs)
-        self.jobs[job_id] = job
-        job.task = asyncio.create_task(self._run_sweep_job(job),
-                                       name=f"serve-{job_id}")
-        self._trace("sweep", f"202 {job_id} cells={len(specs)}")
-        return 202, envelope(status="accepted", job_id=job_id,
+        job = self.jobs.start(specs, self._settle_cell,
+                              self.scheduler.concurrency)
+        self._trace("sweep", f"202 {job.job_id} cells={len(specs)}")
+        return 202, envelope(status="accepted", job_id=job.job_id,
                              cells=len(specs)), {}
 
-    async def _job_event(self, job: SweepJob, event: dict) -> None:
-        async with job.cond:
-            job.events.append(event)
-            job.cond.notify_all()
-
-    async def _finish_job(self, job: SweepJob, status: str,
-                          summary: dict) -> None:
-        async with job.cond:
-            job.status = status
-            job.summary = summary
-            job.events.append(
-                {"event": "complete", "status": status, "summary": summary}
-            )
-            job.cond.notify_all()
-
-    async def _run_one_cell(self, job: SweepJob, index: int, spec: JobSpec,
-                            sem: asyncio.Semaphore, tally: dict) -> None:
-        async with sem:
-            while True:
-                self._count("sweep_cell")
-                try:
-                    outcome = await self.scheduler.submit(spec)
-                except ServiceOverloaded as exc:
-                    # Batch cells defer to interactive load instead of
-                    # failing: back off and re-offer the cell.
-                    await self._job_event(job, {
-                        "event": "backoff", "index": index,
-                        "retry_after_s": exc.retry_after_s,
-                    })
-                    await asyncio.sleep(min(exc.retry_after_s, 5))
-                    continue
-                break
-            tally[outcome.source] = tally.get(outcome.source, 0) + 1
-            await self._job_event(job, {
-                "event": "hit" if outcome.source == "store" else "done",
-                "index": index,
-                "source": outcome.source,
-                "digest": outcome.digest,
-                "wall_s": outcome.wall_s,
-                "result": result_fields(outcome.result),
-            })
-
-    async def _run_sweep_job(self, job: SweepJob) -> None:
-        sem = asyncio.Semaphore(self.scheduler.concurrency)
-        tally: dict[str, int] = {}
-        start = time.perf_counter()
-        try:
-            await asyncio.gather(*(
-                self._run_one_cell(job, i, spec, sem, tally)
-                for i, spec in enumerate(job.specs)
-            ))
-        except asyncio.CancelledError:
-            await self._finish_job(job, "failed", {"error": "cancelled"})
-            raise
-        except Exception as exc:
-            await self._finish_job(job, "failed", {"error": str(exc)})
-            return
-        await self._finish_job(job, "done", {
-            "cells": len(job.specs),
-            "wall_s": time.perf_counter() - start,
-            "sources": dict(sorted(tally.items())),
-        })
+    async def _settle_cell(self, index: int, spec: JobSpec) -> dict:
+        self._count("sweep_cell")
+        outcome = await self.scheduler.submit(spec)
+        return {
+            "source": outcome.source,
+            "digest": outcome.digest,
+            "wall_s": outcome.wall_s,
+            "result": result_fields(outcome.result),
+        }
 
     async def stream_job(
         self, job_id: str,
@@ -269,31 +353,7 @@ class SimulationService:
             self._trace("jobs", f"404 {job_id}")
             return None
         self._trace("jobs", f"200 {job_id}")
-
-        async def _events() -> AsyncIterator[dict]:
-            index = 0
-            while True:
-                async with job.cond:
-                    while index >= len(job.events) and job.status == "running":
-                        await job.cond.wait()
-                    fresh = job.events[index:]
-                    index = len(job.events)
-                    finished = job.status != "running"
-                for event in fresh:
-                    yield event
-                if finished and index >= len(job.events):
-                    return
-
-        return _events()
-
-    def job_status(self, job_id: str) -> Optional[dict]:
-        """A point-in-time job snapshot (no streaming)."""
-        job = self.jobs.get(job_id)
-        if job is None:
-            return None
-        return envelope(status=job.status, job_id=job.job_id,
-                        cells=len(job.specs), events=len(job.events),
-                        summary=job.summary)
+        return job.stream()
 
     # -- control plane: ingest + decide -------------------------------------
 
@@ -376,7 +436,7 @@ class SimulationService:
                         "'current' entries must be [src, dst] pairs")
                 current.append((int(row[0]), int(row[1])))
             decider = ShortcutDecider(
-                topo, topo.rf_enabled_routers(aps),
+                topo, place_access_points(topo, aps),
                 budget=(control.budget
                         or self.scheduler.params.rfi.shortcut_budget),
                 use_regions=control.use_regions,
@@ -425,11 +485,7 @@ class SimulationService:
             queue_limit=self.scheduler.queue_limit,
             concurrency=self.scheduler.concurrency,
             inflight=len(self.scheduler._inflight),
-            jobs={
-                status: sum(1 for j in self.jobs.values()
-                            if j.status == status)
-                for status in ("running", "done", "failed")
-            },
+            jobs=self.jobs.counts(),
             store_entries=len(self.store) if self.store is not None else 0,
         )
 

@@ -13,10 +13,11 @@ campaign specs and the Python API all build their cells through
 """
 
 import asyncio
+import concurrent.futures
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -26,7 +27,8 @@ from repro.cluster.router import ClusterRouter
 from repro.control.run import CONTROL_STYLES
 from repro.exec import job_digest, normalize_spec
 from repro.exec.request import (
-    DESIGN_STYLES, LINK_WIDTHS, RequestError, RunRequest, known_workloads,
+    DESIGN_STYLES, LINK_WIDTHS, RequestError, RunRequest, check_placement,
+    known_workloads,
 )
 from repro.experiments.config import FAST_CONFIG
 from repro.noc.topology import TOPOLOGIES
@@ -131,6 +133,12 @@ BAD_REQUESTS = [
      "unknown topology 'hypercube'"),
     ("bad-control-key", {"online": "bogus=1"},
      "invalid control spec 'bogus=1': unknown control key 'bogus'"),
+    ("mc-only-16-access-points", {"design": "mc-only", "access_points": 16},
+     "design 'mc-only' needs its multicast transmitter (router 2) among "
+     "the access points; access_points=16 does not place it on the mesh"),
+    ("1000-access-points", {"design": "adaptive", "access_points": 1000},
+     "access_points=1000 cannot be placed on the mesh: "
+     "count must be in 1..100"),
 ]
 
 
@@ -164,6 +172,10 @@ def _service():
     return SimulationService(config=FAST_CONFIG, executor=_NoPool())
 
 
+def _router():
+    return ClusterRouter({"s0": 1, "s1": 2}, config=FAST_CONFIG)
+
+
 #: Front door -> how it rejects ``fields``, returning the bare message.
 FRONT_DOORS = {
     "cli-simulate": lambda f, capsys: _reject_cli(_cli_simulate_args(f),
@@ -172,6 +184,9 @@ FRONT_DOORS = {
     "post-simulate": lambda f, capsys: _reject_post(_service().simulate, f),
     "post-sweep": lambda f, capsys: _reject_post(_service().sweep,
                                                  _sweep_body(f)),
+    "router-simulate": lambda f, capsys: _reject_post(_router().simulate, f),
+    "router-sweep": lambda f, capsys: _reject_post(_router().sweep,
+                                                   _sweep_body(f)),
     "campaign": lambda f, capsys: _reject_campaign(f),
     "api-simulate": lambda f, capsys: _reject_api(
         lambda: repro.simulate(fast=True, **f)),
@@ -184,6 +199,14 @@ FRONT_DOORS = {
 NOT_EXPRESSIBLE = {("boolean-seed", "cli-simulate"),
                    ("boolean-seed", "cli-sweep")}
 
+#: Only the single-cell doors below take a per-cell access-point count.
+NOT_EXPRESSIBLE |= {
+    (row, door)
+    for row in ("mc-only-16-access-points", "1000-access-points")
+    for door in FRONT_DOORS
+    if door not in ("post-simulate", "router-simulate", "api-simulate")
+}
+
 
 @pytest.mark.parametrize("door,fields,expected", [
     pytest.param(door, fields, expected, id=f"{row}-{door}")
@@ -195,7 +218,7 @@ def test_every_front_door_rejects_with_one_message(
     door, fields, expected, capsys,
 ):
     with pytest.raises(RequestError) as shared:
-        RunRequest(**fields)
+        check_placement(RunRequest(**fields).spec(), DEFAULT_PARAMS)
     assert expected in str(shared.value)
     assert FRONT_DOORS[door](fields, capsys) == str(shared.value)
 
@@ -216,6 +239,84 @@ class TestEmptyFaultSpecOverServe:
         router = ClusterRouter({"s0": 1, "s1": 2}, config=FAST_CONFIG)
         handler = getattr(router, route)
         assert "names no faults" in _reject_post(handler, self.BODIES[route])
+
+
+#: A server started on the concentrated mesh (``repro serve --topology cmesh``).
+CMESH_PARAMS = DEFAULT_PARAMS.with_topology(provider="cmesh")
+
+
+class _RecordingPool:
+    """Executor stand-in: records the cells it is handed, runs none."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, spec):
+        self.submitted.append(spec)
+        future = concurrent.futures.Future()
+        future.set_exception(RuntimeError("not run"))
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        pass
+
+
+class TestPlacementFollowsServerTopology:
+    """The access-point rule checks the substrate the door runs cells on."""
+
+    #: Counts the 10x10 mesh cannot place but the 5x5 cmesh can: mc-only's
+    #: transmitter is placed from 14 access points, and the cmesh clamps
+    #: oversized counts to every router.
+    CMESH_ONLY = [{"design": "mc-only", "access_points": 16},
+                  {"design": "adaptive", "access_points": 200}]
+
+    @pytest.mark.parametrize("body", CMESH_ONLY)
+    def test_cmesh_service_runs_the_cell(self, body):
+        pool = _RecordingPool()
+        service = SimulationService(config=FAST_CONFIG, params=CMESH_PARAMS,
+                                    executor=pool)
+
+        async def simulate():
+            await service.start()
+            try:
+                return await service.simulate(body)
+            finally:
+                await service.stop()
+
+        status, payload, _ = asyncio.run(simulate())
+        assert (status, payload["error"]) == (500,
+                                              "simulation failed: not run")
+        assert [spec.num_access_points for spec in pool.submitted] == [
+            body["access_points"]]
+
+    @pytest.mark.parametrize("body", CMESH_ONLY)
+    def test_cmesh_router_proxies_the_cell(self, body):
+        router = ClusterRouter({"s0": 1}, config=FAST_CONFIG,
+                               params=CMESH_PARAMS)
+        status, payload, _ = asyncio.run(router.simulate(body))
+        assert status == 503, payload     # no shard is listening
+
+    @pytest.mark.parametrize("body", CMESH_ONLY)
+    def test_cmesh_api_builds_the_cell(self, body):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.api.prepare_spec", _capture_prepare)
+            digests = _built(lambda: repro.simulate(
+                fast=True, params=CMESH_PARAMS, **body))
+        assert len(digests) == 1
+
+    def test_every_door_rejects_what_the_cmesh_cannot_place(self):
+        body = {"design": "mc-only", "access_points": 13}
+        expected = ("design 'mc-only' needs its multicast transmitter "
+                    "(router 1) among the access points; access_points=13 "
+                    "does not place it on the cmesh")
+        service = SimulationService(config=FAST_CONFIG, params=CMESH_PARAMS,
+                                    executor=_NoPool())
+        router = ClusterRouter({"s0": 1}, config=FAST_CONFIG,
+                               params=CMESH_PARAMS)
+        assert _reject_post(service.simulate, body) == expected
+        assert _reject_post(router.simulate, body) == expected
+        assert _reject_api(lambda: repro.simulate(
+            fast=True, params=CMESH_PARAMS, **body)) == expected
 
 
 def test_campaign_rejects_boolean_seeds():
@@ -312,7 +413,18 @@ def valid_requests(draw, every_door: bool = False):
         fields["access_points"] = draw(
             st.one_of(st.none(), st.integers(1, 100)))
         fields["adaptive_routing"] = draw(st.booleans())
+        assume(_placeable(fields))
     return fields
+
+
+def _placeable(fields) -> bool:
+    """The cell's access points can be placed (the rejection table pins
+    the rule itself)."""
+    try:
+        check_placement(RunRequest(**fields).spec(), DEFAULT_PARAMS)
+    except RequestError:
+        return False
+    return True
 
 
 @settings(max_examples=60, deadline=None)

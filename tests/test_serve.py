@@ -11,11 +11,13 @@ compute -> warm store hit with an identical stats digest -> reconciled
 
 import asyncio
 import concurrent.futures
+import http.client
 import json
 import threading
 
 import pytest
 
+from repro.cluster import ClusterRouter
 from repro.exec import ResultStore, encode_result, job_digest
 from repro.exec.jobs import JobSpec
 from repro.experiments.config import ExperimentConfig
@@ -628,3 +630,125 @@ class TestDrainEndpoint:
         response = client.simulate(design="baseline", workload="uniform")
         assert response.status == 200
         assert response.payload["source"] == "store"
+
+
+# -- one serving skeleton: the job engine and dispatcher both tiers share ----
+
+#: A three-cell sweep, distinct from the cells that saturate the worker.
+SWEEP_BODY = {"styles": ["baseline"], "widths": [16],
+              "workloads": ["uniform", "1Hotspot", "2Hotspot"]}
+
+
+async def _until(condition, timeout=30.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+class TestSharedJobEngine:
+    @pytest.mark.parametrize("tier", ["service", "router"])
+    def test_shed_sweep_cells_back_off_and_every_cell_settles(self, tier):
+        """Batch cells never drop: a saturated worker backs them off."""
+        stub = StubExecutor()
+        worker = SimulationService(config=TINY_CONFIG, executor=stub,
+                                   queue_limit=1, concurrency=1)
+        # A fast stub pool: a shed cell is told to retry after 1 s.
+        worker.scheduler._avg_wall_s = 0.01
+        thread = ServerThread(worker) if tier == "router" else None
+
+        async def scenario():
+            if thread is None:
+                front = worker
+            else:
+                front = ClusterRouter({"s0": thread.start()},
+                                      config=TINY_CONFIG)
+            await front.start()
+            # Fill the one pool slot, then the one queue slot.
+            busy = [asyncio.create_task(front.simulate({"workload": "uniDF"}))]
+            await _until(lambda: len(stub.futures) == 1)
+            busy.append(asyncio.create_task(
+                front.simulate({"workload": "hotBiDF"})))
+            await _until(lambda: worker.scheduler._queue.qsize() == 1)
+            status, accepted, _ = await front.sweep(SWEEP_BODY)
+            assert status == 202
+            job = front.jobs[accepted["job_id"]]
+            await _until(lambda: any(e["event"] == "backoff"
+                                     for e in job.events))
+            # Free the pool: settle every computation as it arrives.
+            while not job.task.done():
+                for index, future in enumerate(list(stub.futures)):
+                    if not future.done():
+                        stub.resolve(index)
+                await asyncio.sleep(0.005)
+            events = [event async for event
+                      in await front.stream_job(accepted["job_id"])]
+            for status, _, _ in await asyncio.gather(*busy):
+                assert status == 200
+            await front.stop()
+            return events
+
+        try:
+            events = run_async(scenario())
+        finally:
+            if thread is not None:
+                thread.stop()
+        assert any(event["event"] == "backoff" for event in events)
+        settled = [e for e in events if e["event"] in ("hit", "done")]
+        assert sorted(e["index"] for e in settled) == [0, 1, 2]
+        complete = events[-1]
+        assert complete["event"] == "complete"
+        assert complete["status"] == "done"
+        summary = complete["summary"]
+        assert summary["cells"] == 3
+        assert sum(summary["sources"].values()) == 3
+        if tier == "router":
+            assert summary["shards"] == {"s0": 3}
+        assert worker.reconciliation()["balanced"] is True
+
+
+@pytest.fixture(scope="class")
+def both_tiers():
+    """A worker and a router, each behind its own live ServeServer."""
+    threads = [
+        ServerThread(SimulationService(config=TINY_CONFIG,
+                                       executor=StubExecutor())),
+        ServerThread(ClusterRouter({"s0": 1}, config=TINY_CONFIG)),
+    ]
+    ports = [thread.start() for thread in threads]
+    yield ports
+    for thread in threads:
+        thread.stop()
+
+
+def _raw(port, method, path, body=None):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestRouteParity:
+    @pytest.mark.parametrize("method,path,body,status", [
+        ("GET", "/nope", None, 404),
+        ("POST", "/v1/nope", b"{}", 404),
+        ("POST", "/v1/jobs/job-0001", None, 404),
+        ("GET", "/v1/jobs/job-nope", None, 404),
+        ("GET", "/v1/simulate", None, 405),
+        ("PUT", "/v1/sweep", b"{}", 405),
+        ("POST", "/healthz", None, 405),
+        ("DELETE", "/metrics", None, 405),
+        ("POST", "/v1/simulate", b"not json", 400),
+        ("POST", "/v1/sweep", b"\xff\xfe", 400),
+        ("POST", "/v1/simulate", b"[1, 2]", 400),
+    ])
+    def test_worker_and_router_answer_alike(self, both_tiers, method, path,
+                                            body, status):
+        worker, router = (_raw(port, method, path, body)
+                          for port in both_tiers)
+        assert worker[0] == status
+        assert worker == router
+        assert worker[1]["status"] == "error"
